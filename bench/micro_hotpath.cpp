@@ -36,12 +36,12 @@
 #include "sim/Tlb.h"
 #include "support/BuildInfo.h"
 #include "support/Options.h"
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace atmem;
@@ -237,17 +237,12 @@ int main(int Argc, const char **Argv) {
   uint64_t DrainMissesPerShard =
       (Quick ? 2u << 20 : 8u << 20) / std::max(1u, SimThreads) / 10;
 
-  // One topology probe provides both provenance fields: the cached
-  // hardware-thread count (the same value Runtime caches at construction
-  // instead of re-asking hardware_concurrency per drain) and the NUMA
-  // node count the sharded drain laid out against.
-  support::Topology Topo = support::Topology::detect();
+  // Read the same way Runtime caches it at construction.
+  uint32_t HostThreads = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf(
-      "[micro_hotpath] quick=%d sim-threads=%u host-threads=%u "
-      "numa-nodes=%u repeats=%u\n",
-      Quick ? 1 : 0, SimThreads, Topo.hardwareThreads(), Topo.numNodes(),
-      Repeats);
+      "[micro_hotpath] quick=%d sim-threads=%u host-threads=%u repeats=%u\n",
+      Quick ? 1 : 0, SimThreads, HostThreads, Repeats);
 
   auto report = [](const char *Name, const char *Unit,
                    const SectionStats &S) {
@@ -311,7 +306,6 @@ int main(int Argc, const char **Argv) {
                  "  \"sim_threads\": %u,\n"
                  "  \"repeats\": %u,\n"
                  "  \"host_hardware_threads\": %u,\n"
-                 "  \"numa_nodes\": %u,\n"
                  "  \"git_sha\": \"%s\",\n"
                  "  \"compiler\": \"%s\",\n"
                  "  \"cpu_model\": \"%s\",\n"
@@ -335,8 +329,7 @@ int main(int Argc, const char **Argv) {
                  "  }\n"
                  "}\n",
                  Quick ? "true" : "false", SimThreads, Repeats,
-                 Topo.hardwareThreads(), Topo.numNodes(),
-                 support::gitSha(), support::compilerId(),
+                 HostThreads, support::gitSha(), support::compilerId(),
                  support::cpuModel().c_str(),
                  static_cast<unsigned long long>(support::peakRssBytes()),
                  static_cast<unsigned long long>(Tracked.Median.Events),

@@ -170,7 +170,6 @@ TIMESERIES_COLUMNS = [
     "epoch", "accesses", "misses_fast", "misses_slow",
     "slow_miss_fraction", "drain_misses_per_sec", "migration_bytes",
     "migration_ranges", "retries", "rollbacks", "migrate_sim_sec",
-    "lookahead_staged", "lookahead_cancelled", "lookahead_overlap_sec",
     "fast_data_ratio", "optimize_wall_us",
 ]
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Runs the hot-path and lookahead microbenchmarks in quick mode and leaves
-# their JSON trajectory points at the repository root as BENCH_hotpath.json
-# and BENCH_lookahead.json, so successive PRs (and the CI artifacts)
-# accumulate comparable numbers.
+# Runs the hot-path and decision-log sink microbenchmarks in quick mode and
+# leaves their JSON trajectory points at the repository root as
+# BENCH_hotpath.json and BENCH_obs.json, so successive PRs (and the CI
+# artifacts) accumulate comparable numbers.
 #
 # Regression gate: if a committed BENCH_hotpath.json baseline exists and
 # was recorded on the same host class (same cpu_model and
@@ -23,7 +23,6 @@ set -eu
 BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BENCH="$REPO_ROOT/$BUILD_DIR/bench/micro_hotpath"
-LOOKAHEAD="$REPO_ROOT/$BUILD_DIR/bench/micro_lookahead"
 
 if [ ! -x "$BENCH" ]; then
   echo "perf_smoke: $BENCH not built (cmake --build $BUILD_DIR --target micro_hotpath)" >&2
@@ -42,15 +41,6 @@ fi
 "$BENCH" --quick --sim-threads 2 --json "$OUT" --trace-tmp "$REPO_ROOT/$BUILD_DIR/micro_hotpath.mtrace"
 python3 -m json.tool "$OUT" > /dev/null
 echo "perf_smoke: wrote $OUT"
-
-if [ -x "$LOOKAHEAD" ]; then
-  LK_OUT="$REPO_ROOT/BENCH_lookahead.json"
-  "$LOOKAHEAD" --quick --json "$LK_OUT"
-  python3 -m json.tool "$LK_OUT" > /dev/null
-  echo "perf_smoke: wrote $LK_OUT"
-else
-  echo "perf_smoke: $LOOKAHEAD not built, skipping lookahead point" >&2
-fi
 
 OBS="$REPO_ROOT/$BUILD_DIR/bench/micro_obs"
 if [ -x "$OBS" ]; then

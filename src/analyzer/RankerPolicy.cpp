@@ -261,7 +261,7 @@ RankerApplyResult RankerPolicy::apply(
 
   // Commit: overridden selections land in the same flags the heuristic
   // uses, so every downstream consumer (plan builders, decision log,
-  // telemetry, lookahead) sees one consistent verdict.
+  // telemetry) sees one consistent verdict.
   for (size_t I = 0; I < Selections.size(); ++I) {
     LocalSelection &Sel = Selections[I];
     PromotionResult &Promo = Promotions[I];

@@ -7,7 +7,6 @@
 #include "obs/TimeSeries.h"
 #include "fault/FaultInjection.h"
 #include "obs/Trace.h"
-#include "sim/SimdProbe.h"
 #include "sim/Tlb.h"
 #include "support/Logging.h"
 
@@ -26,21 +25,6 @@ using namespace atmem::core;
 thread_local Runtime::ContextBinding Runtime::Bound;
 
 namespace {
-
-/// Topology detection is a perf hint with a graceful degradation path: a
-/// fired probe fault (or a genuinely broken sysfs read) falls back to the
-/// single-node layout, which every consumer must treat as
-/// placement-equivalent. The site lives here rather than in
-/// support::Topology because the support library sits below fault/obs in
-/// the layering.
-fault::Site TopologyProbeFault("drain.topology_probe");
-
-void countTopologyProbeFailed() {
-  if (obs::enabled()) {
-    static obs::Counter Failed("topology.probe_failed");
-    Failed.add(1);
-  }
-}
 
 void countRetry() {
   if (obs::enabled()) {
@@ -210,31 +194,10 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
       Pool(Config.Machine.Migration.CopyThreads),
       Profiler(Registry, Config.Profiler), AtmemMig(Registry, Pool),
       MbindMig(Registry) {
-  // One topology probe per runtime, never per drain: the cached layout
-  // and host-thread count feed every drain gate from here on. A failed
-  // (or fault-injected) probe degrades to the single-node layout —
-  // topology is a locality hint, never a correctness input, so the
-  // degraded runtime places bit-identically.
-  bool ProbeOk = true;
-  if (Config.TopologyOverride) {
-    Topo = *Config.TopologyOverride;
-  } else if (TopologyProbeFault.shouldFail()) {
-    Topo = support::Topology::singleNode();
-    ProbeOk = false;
-  } else {
-    Topo = support::Topology::detect(&ProbeOk);
-  }
-  if (!ProbeOk) {
-    countTopologyProbeFailed();
-    logInfo("topology probe failed; using single-node layout");
-  }
+  // Read once per runtime, never per drain: every drain gate reuses it.
   HostThreads = Config.HostThreadsOverride
                     ? Config.HostThreadsOverride
-                    : std::max(1u, Topo.hardwareThreads());
-  if (obs::enabled()) {
-    static obs::Gauge Nodes("numa.nodes");
-    Nodes.set(Topo.numNodes());
-  }
+                    : std::max(1u, std::thread::hardware_concurrency());
   if (Config.SimThreads > 1) {
     // Each thread's shard models its partition of the shared LLC; never
     // shrink below one fully associative set.
@@ -244,27 +207,8 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
                            static_cast<uint64_t>(Shard.Ways) * Shard.LineBytes);
     Contexts.reserve(Config.SimThreads);
     for (uint32_t T = 0; T < Config.SimThreads; ++T)
-      Contexts.push_back(std::make_unique<SimContext>(
-          Shard, Topo.nodeOfShard(T, Config.SimThreads)));
-    // On multi-node hosts each kernel worker is pinned to its shard's
-    // home node before taking work, so the shard's miss buffer, recycle
-    // pool, and attribution-index replica are first-touch allocated
-    // node-locally. Pinning is best-effort (mocked topologies name cpus
-    // the host may lack) and never affects results.
-    mem::ThreadPool::WorkerInit Init;
-    if (Topo.multiNode()) {
-      auto PinSets = std::make_shared<std::vector<std::vector<int>>>();
-      PinSets->reserve(Config.SimThreads);
-      for (uint32_t T = 0; T < Config.SimThreads; ++T)
-        PinSets->push_back(
-            Topo.nodeCpus(Topo.nodeOfShard(T, Config.SimThreads)));
-      Init = [PinSets](uint32_t Worker) {
-        if (Worker < PinSets->size())
-          support::pinThreadToCpus((*PinSets)[Worker]);
-      };
-    }
-    KernelPool =
-        std::make_unique<mem::ThreadPool>(Config.SimThreads, std::move(Init));
+      Contexts.push_back(std::make_unique<SimContext>(Shard));
+    KernelPool = std::make_unique<mem::ThreadPool>(Config.SimThreads);
   }
   if (Config.Telemetry.Enabled || Config.Telemetry.anyOutput())
     obs::setEnabled(true);
@@ -339,10 +283,9 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
 
 Runtime::~Runtime() {
   // The accept thread captures `this`; it must be gone before any member
-  // it reads (and before the lookahead teardown churns placement).
+  // it reads.
   if (StatsServer)
     StatsServer->stop();
-  shutdownLookahead();
 }
 
 void Runtime::parallelTracked(uint64_t Begin, uint64_t End,
@@ -377,25 +320,13 @@ mem::MigrationResult Runtime::optimize() {
   if (Profiler.isActive())
     Profiler.stop();
 
-  if (Config.Lookahead.Enabled) {
-    // Settle the overlapped staging copies before anything reads their
-    // outcome, then let the adaptive scheduler skip the whole epoch when
-    // placement has converged — no analysis, no decision-log epoch, no
-    // migrations, nothing staged to resolve.
-    joinLookaheadCopies();
-    if (skipConvergedEpoch())
-      return {};
-    EpochRenominated = 0;
-    EpochRollbacks = 0;
-  }
-
   // Epoch bookkeeping for the time-series sample built at the bottom.
   // Wall-clock is only read when somebody consumes it, so a runtime with
   // no time-series/socket/health output takes exactly the old path.
   const bool TsEnabled = obs::TimeSeries::instance().enabled();
   const bool NeedWall = TsEnabled || HealthMon != nullptr;
-  const uint64_t RollbacksBefore = EpochRollbacks;
   EpochRetries = 0;
+  EpochRollbacks = 0;
   std::chrono::steady_clock::time_point WallStart;
   double IterWallUs = 0.0;
   if (NeedWall) {
@@ -455,14 +386,6 @@ mem::MigrationResult Runtime::optimize() {
     return nullptr;
   };
 
-  // Epoch boundary of the lookahead pipeline: staged-ahead ranges the
-  // fresh plan confirms commit here for the price of a remap (their copy
-  // already ran overlapped with compute); mispredictions evaporate. Runs
-  // before demotions/promotions so the demand path below sees committed
-  // chunks as already placed and never re-migrates them.
-  if (Config.Lookahead.Enabled)
-    resolveStagedAhead(Result);
-
   // Chunks a previous epoch had to leave behind are re-nominated this
   // epoch alongside the fresh plan.
   std::vector<SkippedChunk> PrevSkipped = std::move(Skipped);
@@ -500,7 +423,6 @@ mem::MigrationResult Runtime::optimize() {
             PrevSkipped[I].Target != sim::TierId::Fast)
           continue;
         Consumed[I] = 1;
-        ++EpochRenominated;
         countRenominated();
         recordDecisionEvents(Obj, {PrevSkipped[I].Range}, sim::TierId::Fast,
                              obs::DecisionPhase::Renominated,
@@ -538,7 +460,6 @@ mem::MigrationResult Runtime::optimize() {
           PrevSkipped[J].Target != sim::TierId::Fast)
         continue;
       Consumed[J] = 1;
-      ++EpochRenominated;
       countRenominated();
       recordDecisionEvents(Obj, {PrevSkipped[J].Range}, sim::TierId::Fast,
                            obs::DecisionPhase::Renominated,
@@ -549,14 +470,6 @@ mem::MigrationResult Runtime::optimize() {
       promoteWithRecovery(Mig, Obj, std::move(Pending), priorityOf(Id),
                           Result);
   }
-  // Predict and stage next epoch's hot chunks, then launch the overlapped
-  // copy; finally update the adaptive scheduler's convergence accounting.
-  if (Config.Lookahead.Enabled &&
-      Config.Mechanism == MigrationMechanism::Atmem) {
-    stageLookahead(Classes);
-    updateBackoff();
-  }
-
   logInfo("optimize: moved %llu bytes in %llu ranges, %.3f ms simulated",
           static_cast<unsigned long long>(Result.BytesMoved),
           static_cast<unsigned long long>(Result.Ranges),
@@ -573,14 +486,13 @@ mem::MigrationResult Runtime::optimize() {
                                                          WallStart)
                    .count();
     }
-    captureEpochSample(Result, RollbacksBefore, WallUs, IterWallUs);
+    captureEpochSample(Result, WallUs, IterWallUs);
   }
   return Result;
 }
 
 void Runtime::captureEpochSample(const mem::MigrationResult &Result,
-                                 uint64_t RollbacksBefore, double WallUs,
-                                 double IterWallUs) {
+                                 double WallUs, double IterWallUs) {
   ++OptimizeEpochs;
   if (obs::TimeSeries::instance().enabled() || HealthMon) {
     obs::EpochSample S;
@@ -599,16 +511,8 @@ void Runtime::captureEpochSample(const mem::MigrationResult &Result,
     S.MigrationBytes = Result.BytesMoved;
     S.MigrationRanges = Result.Ranges;
     S.Retries = EpochRetries;
-    S.Rollbacks = EpochRollbacks - RollbacksBefore;
+    S.Rollbacks = EpochRollbacks;
     S.MigrateSimSec = Result.SimSeconds;
-    // The lookahead stats are cumulative; the sample reports this epoch's
-    // delta so the series plots activity, not running totals.
-    S.LookaheadStaged = LkStats.StagedRanges - TsPrevStaged;
-    S.LookaheadCancelled = LkStats.CancelledRanges - TsPrevCancelled;
-    S.LookaheadOverlapSec = LkStats.OverlappedSimSec - TsPrevOverlap;
-    TsPrevStaged = LkStats.StagedRanges;
-    TsPrevCancelled = LkStats.CancelledRanges;
-    TsPrevOverlap = LkStats.OverlappedSimSec;
     S.FastDataRatio = fastDataRatio();
     S.OptimizeWallUs = WallUs;
     S.IterationWallUs = IterWallUs;
@@ -1044,30 +948,12 @@ void Runtime::drainBatched() {
     TotalMisses += Ctx->missBuffer().size();
   }
 
-  // Cross-node drain accounting: buffers were first-touched on their
-  // shard's home node, so every byte a differently-homed thread drains
-  // is remote traffic — the quantity NUMA sharding exists to shrink.
-  if (obs::enabled() && Topo.multiNode()) {
-    static obs::Counter RemoteBytes("numa.remote_drain_bytes");
-    static obs::Counter LocalBytes("numa.local_drain_bytes");
-    uint32_t DrainNode = Topo.nodeOfCpu(support::currentCpu());
-    uint64_t Remote = 0, Local = 0;
-    for (auto &Ctx : Contexts)
-      (Ctx->homeNode() == DrainNode ? Local : Remote) +=
-          Ctx->missBuffer().size() * sizeof(uint64_t);
-    if (Local)
-      LocalBytes.add(Local);
-    if (Remote)
-      RemoteBytes.add(Remote);
-  }
-
   // The countdown advance is associative over a buffer: the state after
   // scanning N misses depends only on N (advanceSelection computes it in
   // O(period doublings)). So each shard's start state is computed
   // serially for pennies, the per-shard scans run concurrently on the
-  // kernel pool — each shard scanned by one worker, ideally the one
-  // pinned to the buffer's home node — and the selections are spliced in
-  // thread-index order. Bit-identical to the serial scan by
+  // kernel pool — each shard scanned by one worker — and the selections
+  // are spliced in thread-index order. Bit-identical to the serial scan by
   // construction; small drains and single-core hosts keep the serial
   // path.
   bool ParallelSelect = Profiler.isActive() && KernelPool &&
@@ -1107,14 +993,13 @@ void Runtime::drainBatched() {
   }
 
   // Stage 4 launch — on multi-core hosts the TLB replay runs overlapped
-  // with stages 2-3: replay touches only ReplayTlb/ReplayCache and its
-  // own scratch, attribution/commit touch only registry and profiler
-  // state, and both sides just read the miss buffers. Joined before
-  // stage 5 donates the buffers. Single-core hosts (and small drains)
-  // keep today's serial order.
+  // with stages 2-3: replay touches only ReplayTlb/ReplayCache,
+  // attribution/commit touch only registry and profiler state, and both
+  // sides just read the miss buffers. Joined before stage 5 donates the
+  // buffers. Single-core hosts (and small drains) keep today's serial
+  // order.
   std::thread ReplayThread;
-  bool OverlapReplay = ReplayTlb && Config.OverlapTlbReplay &&
-                       HostThreads > 1 &&
+  bool OverlapReplay = ReplayTlb && HostThreads > 1 &&
                        TotalMisses >= Config.ParallelSelectionThreshold;
   if (OverlapReplay)
     ReplayThread = std::thread([this] { replayTlbBatched(); });
@@ -1130,39 +1015,15 @@ void Runtime::drainBatched() {
     // Hints persist across drains (warm starting points); each worker
     // owns one slot, so reuse is race-free.
     AttrHintScratch.resize(KernelPool->threadCount());
-    // On multi-node hosts each participant attributes against its own
-    // replica of the interval index, copied by the pinned worker itself
-    // (first touch = node-local) and revalidated with one version
-    // compare. The replica is byte-equal to the shared index, so results
-    // cannot differ; single-node hosts keep reading the shared one.
-    bool UseReplicas = Topo.multiNode();
-    if (UseReplicas)
-      NodeAttr.resize(KernelPool->threadCount());
-    uint64_t IndexVersion = Registry.attributionIndexVersion();
-    const std::vector<mem::DataObjectRegistry::AttrInterval> &SharedIndex =
-        Registry.attributionIndex();
     uint64_t Chunk = std::max<uint64_t>(
         PendingScratch.size() / AttrHintScratch.size() / 4, 256);
     KernelPool->parallelForThreaded(
         0, PendingScratch.size(), Chunk,
         [&](uint32_t Tid, uint64_t Begin, uint64_t End) {
-          const mem::DataObjectRegistry::AttrInterval *Index =
-              SharedIndex.data();
-          size_t IndexCount = SharedIndex.size();
-          if (UseReplicas) {
-            NodeAttrReplica &Replica = NodeAttr[Tid];
-            if (Replica.Version != IndexVersion) {
-              Replica.Index = SharedIndex;
-              Replica.Version = IndexVersion;
-            }
-            Index = Replica.Index.data();
-            IndexCount = Replica.Index.size();
-          }
           mem::AttributionHint &Hint = AttrHintScratch[Tid];
           for (uint64_t I = Begin; I < End; ++I)
-            AttrScratch[I].Ok = mem::DataObjectRegistry::attributeWithIndex(
-                Index, IndexCount, PendingScratch[I].Va, AttrScratch[I].Attr,
-                Hint);
+            AttrScratch[I].Ok = Registry.attributeIndexed(
+                PendingScratch[I].Va, AttrScratch[I].Attr, Hint);
         });
   } else {
     for (size_t I = 0; I < PendingScratch.size(); ++I)
@@ -1212,89 +1073,28 @@ void Runtime::replayTlbBatched() {
   // page or 512 small ones), so once a miss resolves huge, every
   // following miss in the same 2 MiB frame shares that translation —
   // one translation per run instead of one per miss.
-  //
-  // The replay is software-pipelined at block granularity. Per block:
-  // derive every miss's huge VPN with one SIMD shift pass, then
-  // gather-probe the translation cache for all of them at once — the
-  // probes are independent random loads over a 64 KiB slot array, so
-  // batching lets their cache misses overlap each other and the TLB
-  // accesses of the *previous* runs instead of serializing
-  // probe → access → probe per miss; a prefetch starts the next run's
-  // TLB set row while the current access retires. A block-start hint can
-  // only be stale in the safe direction: a hit means the region WAS
-  // cached huge under a quiescent table, so it is truly huge-mapped and
-  // the verdict (huge-array access with this VPN) is exactly what the
-  // sequential probe would produce; a stale miss falls through to the
-  // same probe-then-translate path as before. TLB verdicts, counters,
-  // and LRU state are therefore bit-identical to the unpipelined loop —
-  // only the translation cache's internal diagnostics can differ.
   sim::TlbArray &HugeTlb = Tlb.hugeArray();
   sim::TlbArray &SmallTlb = Tlb.smallArray();
   uint64_t RunHugeVpn = ~0ull;
-
-  // The pipeline's derive/probe passes only pay once the probe working
-  // set (one huge slot per mapped 2 MiB) outgrows L1 and scalar probes
-  // start stalling; small working sets keep the slots cache-hot, so the
-  // single-pass run-skip loop below is strictly cheaper there. Both
-  // paths leave bit-identical TLB state (the gate is a pure perf
-  // choice), measured at the crossover in RuntimeConfig's knob comment.
-  bool GatherReplay =
-      Registry.totalMappedBytes() >= Config.GatherReplayMinMappedBytes;
-  if (!GatherReplay) {
-    for (auto &Ctx : Contexts)
-      for (uint64_t Va : Ctx->missBuffer()) {
-        uint64_t HugeVpn = Va >> 21;
-        if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-          continue;
-        }
-        uint64_t PageBytes;
-        if (!Cache.translatePageBytes(Va, PageBytes))
-          continue;
-        if (PageBytes == sim::HugePageBytes) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-        } else {
-          RunHugeVpn = ~0ull;
-          SmallTlb.access(Va);
-        }
+  for (auto &Ctx : Contexts)
+    for (uint64_t Va : Ctx->missBuffer()) {
+      uint64_t HugeVpn = Va >> 21;
+      if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
+        RunHugeVpn = HugeVpn;
+        HugeTlb.accessVpn(HugeVpn);
+        continue;
       }
-    return;
-  }
-
-  constexpr size_t BlockMisses = 4096;
-  for (auto &Ctx : Contexts) {
-    const std::vector<uint64_t> &Buf = Ctx->missBuffer();
-    for (size_t Base = 0; Base < Buf.size(); Base += BlockMisses) {
-      size_t N = std::min(BlockMisses, Buf.size() - Base);
-      VpnScratch.resize(N);
-      HugeHintScratch.resize(N);
-      sim::batchShiftRight(Buf.data() + Base, N, 21, VpnScratch.data());
-      Cache.probeHugeBatch(VpnScratch.data(), N, HugeHintScratch.data());
-      for (size_t I = 0; I < N; ++I) {
-        uint64_t HugeVpn = VpnScratch[I];
-        if (I + 1 < N && VpnScratch[I + 1] != HugeVpn)
-          HugeTlb.prefetchVpn(VpnScratch[I + 1]);
-        if (HugeVpn == RunHugeVpn || HugeHintScratch[I] ||
-            Cache.isCachedHuge(HugeVpn)) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-          continue;
-        }
-        uint64_t PageBytes;
-        if (!Cache.translatePageBytes(Buf[Base + I], PageBytes))
-          continue;
-        if (PageBytes == sim::HugePageBytes) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-        } else {
-          RunHugeVpn = ~0ull;
-          SmallTlb.access(Buf[Base + I]);
-        }
+      uint64_t PageBytes;
+      if (!Cache.translatePageBytes(Va, PageBytes))
+        continue;
+      if (PageBytes == sim::HugePageBytes) {
+        RunHugeVpn = HugeVpn;
+        HugeTlb.accessVpn(HugeVpn);
+      } else {
+        RunHugeVpn = ~0ull;
+        SmallTlb.access(Va);
       }
     }
-  }
 }
 
 double Runtime::fastDataRatio() const {
@@ -1317,237 +1117,4 @@ void Runtime::replayTlbAccessUncached(uint64_t Va) {
   sim::Translation T;
   if (M.pageTable().translate(Va, T))
     ReplayTlb->access(Va, T.PageBytes);
-}
-
-//===----------------------------------------------------------------------===//
-// Lookahead pipeline
-//===----------------------------------------------------------------------===//
-
-void Runtime::joinLookaheadCopies() {
-  if (LookaheadCopyThread.joinable())
-    LookaheadCopyThread.join();
-}
-
-void Runtime::shutdownLookahead() {
-  joinLookaheadCopies();
-  // Silent unmap (no events): the decision log may already be finalized
-  // during teardown, and a destructed runtime's staging regions must not
-  // outlive it either way.
-  for (const mem::StagedAheadRange &Staged : StagedRanges)
-    M.pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-  StagedRanges.clear();
-}
-
-bool Runtime::skipConvergedEpoch() {
-  if (!Config.Lookahead.AdaptiveEpochs || BackoffRemaining == 0 ||
-      !StagedRanges.empty())
-    return false;
-  // Drift detection on the last iteration's per-tier miss split: a
-  // converged placement serves most misses from the fast tier, so a
-  // slow-heavy split means the access pattern moved and the back-off must
-  // yield to a full analysis epoch immediately.
-  uint64_t FastMisses = Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)];
-  uint64_t SlowMisses = Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)];
-  if (FastMisses + SlowMisses > 0) {
-    double SlowFraction = static_cast<double>(SlowMisses) /
-                          static_cast<double>(FastMisses + SlowMisses);
-    if (SlowFraction >= Config.Lookahead.DriftSlowMissFraction) {
-      BackoffRemaining = 0;
-      BackoffLen = 0;
-      ConvergedStreak = 0;
-      logInfo("optimize: drift detected (%.0f%% slow-tier misses), "
-              "re-arming analysis",
-              SlowFraction * 100.0);
-      return false;
-    }
-  }
-  --BackoffRemaining;
-  ++LkStats.BackedOffEpochs;
-  logInfo("optimize: placement converged, backing off (%u epochs left)",
-          BackoffRemaining);
-  return true;
-}
-
-void Runtime::resolveStagedAhead(mem::MigrationResult &Result) {
-  for (mem::StagedAheadRange &Staged : StagedRanges) {
-    // Freed object: nothing to place, just release the staging region
-    // (the migrator's event-emitting cancel path needs the live object).
-    bool Live = false;
-    for (const mem::DataObject *Obj : Registry.liveObjects())
-      if (Obj->id() == Staged.Object) {
-        Live = true;
-        break;
-      }
-    if (!Live) {
-      M.pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-      ++LkStats.CancelledRanges;
-      continue;
-    }
-    mem::DataObject &Obj = Registry.object(Staged.Object);
-    if (!Staged.CopyDone)
-      ++LkStats.CopyFaults;
-
-    // A staged range commits only when the *fresh* plan independently
-    // selects every chunk of it and the chunks are still where the stage
-    // left them — predictions confirm placement decisions, they never
-    // make them. Everything else is a cancelled prefetch: the staging
-    // buffer unmaps and placement is exactly what a run without
-    // lookahead would have produced.
-    bool Confirmed = Staged.CopyDone;
-    for (uint32_t C = Staged.Range.FirstChunk;
-         Confirmed && C < Staged.Range.FirstChunk + Staged.Range.NumChunks;
-         ++C)
-      Confirmed = Obj.chunkTier(C) == Staged.Source;
-    if (Confirmed) {
-      bool Selected = false;
-      for (const analyzer::ObjectPlan &ObjPlan : LastPlan.Objects) {
-        if (ObjPlan.Object != Staged.Object)
-          continue;
-        Selected = true;
-        for (uint32_t C = Staged.Range.FirstChunk;
-             Selected &&
-             C < Staged.Range.FirstChunk + Staged.Range.NumChunks;
-             ++C) {
-          bool InPlan = false;
-          for (const mem::ChunkRange &Range : ObjPlan.Ranges)
-            if (C >= Range.FirstChunk &&
-                C < Range.FirstChunk + Range.NumChunks) {
-              InPlan = true;
-              break;
-            }
-          Selected = InPlan;
-        }
-        break;
-      }
-      Confirmed = Selected;
-    }
-
-    if (!Confirmed) {
-      AtmemMig.cancelStagedAhead(Obj, Staged, sim::TierId::Fast);
-      ++LkStats.CancelledRanges;
-      continue;
-    }
-    mem::MigrationStatus Status =
-        AtmemMig.commitStagedAhead(Obj, Staged, sim::TierId::Fast, Result);
-    if (Status == mem::MigrationStatus::Success) {
-      ++LkStats.CommittedRanges;
-      LkStats.OverlappedSimSec += Staged.OverlappedSimSec;
-      noteHealthMigration(Staged.Object, Staged.Range.FirstChunk,
-                          Staged.Range.NumChunks, /*ToFast=*/true);
-    } else {
-      // The failed commit already cancelled itself (staging released,
-      // placement untouched); the chunks stay eligible for the demand
-      // path below.
-      ++LkStats.CancelledRanges;
-      ++EpochRollbacks;
-    }
-  }
-  StagedRanges.clear();
-}
-
-void Runtime::stageLookahead(
-    const std::vector<analyzer::ObjectClassification> &Classes) {
-  if (!Lookahead)
-    Lookahead =
-        std::make_unique<analyzer::LookaheadPlanner>(Config.Lookahead.Planner);
-  Lookahead->observeEpoch(Classes, EpochRenominated, EpochRollbacks,
-                          Skipped.size());
-  std::vector<analyzer::LookaheadPrediction> Predictions =
-      Lookahead->predict();
-  LkStats.PredictedChunks += Predictions.size();
-  if (Predictions.empty())
-    return;
-
-  // Hard capacity budget: a slice of the post-migration fast free bytes,
-  // with every staged byte holding 2x through the pipeline (the staging
-  // buffer now plus the commit-time remap). Predictions are taken in
-  // priority order; one that does not fit is skipped, not queued.
-  uint64_t Budget = static_cast<uint64_t>(
-      static_cast<double>(M.allocator(sim::TierId::Fast).freeBytes()) *
-      Config.Lookahead.CapacityFraction);
-  uint64_t Held = 0;
-  struct Pick {
-    mem::ObjectId Object;
-    uint32_t Chunk;
-  };
-  std::vector<Pick> Picks;
-  for (const analyzer::LookaheadPrediction &P : Predictions) {
-    bool Live = false;
-    for (const mem::DataObject *Obj : Registry.liveObjects())
-      if (Obj->id() == P.Object) {
-        Live = true;
-        break;
-      }
-    if (!Live)
-      continue;
-    mem::DataObject &Obj = Registry.object(P.Object);
-    if (P.Chunk >= Obj.numChunks() ||
-        Obj.chunkTier(P.Chunk) != sim::TierId::Slow)
-      continue;
-    auto [Begin, End] = Obj.rangeBytes({P.Chunk, 1});
-    uint64_t Bytes = End - Begin;
-    if (Bytes == 0 || Held + 2 * Bytes > Budget)
-      continue;
-    Held += 2 * Bytes;
-    Picks.push_back({P.Object, P.Chunk});
-  }
-  if (Picks.empty())
-    return;
-
-  // Group per object and merge adjacent chunks into contiguous ranges so
-  // each staging buffer covers one run.
-  std::sort(Picks.begin(), Picks.end(), [](const Pick &A, const Pick &B) {
-    if (A.Object != B.Object)
-      return A.Object < B.Object;
-    return A.Chunk < B.Chunk;
-  });
-  size_t Before = StagedRanges.size();
-  for (size_t I = 0; I < Picks.size();) {
-    mem::ObjectId Id = Picks[I].Object;
-    std::vector<mem::ChunkRange> Ranges;
-    while (I < Picks.size() && Picks[I].Object == Id) {
-      uint32_t First = Picks[I].Chunk;
-      uint32_t Last = First;
-      ++I;
-      while (I < Picks.size() && Picks[I].Object == Id &&
-             Picks[I].Chunk == Last + 1) {
-        Last = Picks[I].Chunk;
-        ++I;
-      }
-      Ranges.push_back({First, Last - First + 1});
-    }
-    AtmemMig.stageAhead(Registry.object(Id), Ranges, sim::TierId::Fast,
-                        StagedRanges);
-  }
-  LkStats.StagedRanges += StagedRanges.size() - Before;
-  if (StagedRanges.empty())
-    return;
-
-  // Launch the overlapped copies: one background thread drives the
-  // migration pool through each staged range while the application
-  // computes. joinLookaheadCopies() settles it before anything reads
-  // CopyDone.
-  LookaheadCopyThread = std::thread([this] {
-    for (mem::StagedAheadRange &Staged : StagedRanges)
-      AtmemMig.copyStagedAhead(Staged, sim::TierId::Fast);
-  });
-}
-
-void Runtime::updateBackoff() {
-  if (!Config.Lookahead.AdaptiveEpochs)
-    return;
-  bool Quiet = Lookahead && Lookahead->converged() && StagedRanges.empty() &&
-               Skipped.empty();
-  if (!Quiet) {
-    ConvergedStreak = 0;
-    return;
-  }
-  if (++ConvergedStreak < Config.Lookahead.ConvergedEpochsToBackoff)
-    return;
-  // Doubling windows: converged placements earn exponentially longer
-  // analysis holidays, capped, and drift resets the ladder.
-  BackoffLen = BackoffLen == 0 ? 1
-                               : std::min(BackoffLen * 2,
-                                          Config.Lookahead.MaxBackoffEpochs);
-  BackoffRemaining = BackoffLen;
 }

@@ -22,7 +22,6 @@
 #define ATMEM_CORE_RUNTIME_H
 
 #include "analyzer/Analyzer.h"
-#include "analyzer/LookaheadPlanner.h"
 #include "core/SimContext.h"
 #include "mem/AtmemMigrator.h"
 #include "mem/DataObjectRegistry.h"
@@ -33,14 +32,12 @@
 #include "profiler/TraceFile.h"
 #include "sim/Machine.h"
 #include "sim/TranslationCache.h"
-#include "support/Topology.h"
 
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace atmem {
@@ -66,35 +63,6 @@ enum class PlacementStrategy {
   /// a traffic split proportional to the tiers' bandwidths so both
   /// memories stream concurrently.
   BandwidthBalanced,
-};
-
-/// Lookahead migration scheduling (off by default: placement, decision
-/// logs and simulated times are then byte-identical to a runtime without
-/// the subsystem). Only meaningful with the Atmem mechanism — the staged
-/// pipeline is what makes an overlapped prefetch commit cheap.
-struct LookaheadOptions {
-  bool Enabled = false;
-  /// Trend-prediction and convergence tuning.
-  analyzer::LookaheadPlannerConfig Planner;
-  /// Fraction of the fast tier's post-migration free bytes the prefetch
-  /// pipeline may reserve. Each staged byte holds 2x (staging buffer now
-  /// plus the commit-time remap), so the effective payload budget is half
-  /// of this slice — a *hard* cap, never borrowed against demand.
-  double CapacityFraction = 0.5;
-  /// Adaptive epoch scheduling: optimize() calls made while placement has
-  /// converged return immediately (no analysis, no decision-log epoch,
-  /// no migrations) for a doubling number of epochs, re-arming on drift.
-  bool AdaptiveEpochs = true;
-  /// Churn-free streak (LookaheadPlannerConfig::ConvergenceEpochs deep
-  /// each) before the first back-off window opens.
-  uint32_t ConvergedEpochsToBackoff = 2;
-  /// Back-off windows double up to this many skipped epochs.
-  uint32_t MaxBackoffEpochs = 8;
-  /// Drift detector: a backed-off epoch still sees the last iteration's
-  /// per-tier miss split; when the slow tier's share of misses reaches
-  /// this fraction, the pattern has shifted and analysis re-arms
-  /// immediately.
-  double DriftSlowMissFraction = 0.5;
 };
 
 /// Complete runtime configuration.
@@ -156,33 +124,11 @@ struct RuntimeConfig {
   /// thread (the overlap thread and the per-shard scan fan-out only pay
   /// off once the buffers dwarf their setup cost).
   uint64_t ParallelSelectionThreshold = 1u << 16;
-  /// Runs stage 4 (TLB replay) on its own thread overlapped with stages
-  /// 2-3 (attribution + commit) on multi-core hosts: the two touch
-  /// disjoint state and both only read the miss buffers. Results are
-  /// bit-identical either way; single-core hosts ignore this.
-  bool OverlapTlbReplay = true;
-  /// Registry mapped bytes at or above which stage 4 replays through the
-  /// block-pipelined gather-probe path. The gather only pays when the
-  /// translation cache's probe working set — one 16-byte huge slot per
-  /// mapped 2 MiB region — outgrows L1 and random scalar probes start
-  /// stalling; below that the slots stay cache-hot and the extra
-  /// derive/probe passes are pure overhead, so small working sets keep
-  /// the single-pass run-skip loop. 4 GiB mapped is the 2048-slot
-  /// (32 KiB) crossover. Both paths produce bit-identical TLB state;
-  /// tests pin 0 (always gather) and ~0 (never) to cover each.
-  uint64_t GatherReplayMinMappedBytes = 4ull << 30;
-  /// Cached host-parallelism override: 0 probes the topology once at
-  /// construction (the value every drain-gate then reuses — never
-  /// std::thread::hardware_concurrency() per drain). Tests set it >1 to
-  /// force the parallel drain paths on small hosts.
+  /// Host-parallelism override: 0 reads hardware_concurrency() once at
+  /// construction (the value every drain gate then reuses, never re-read
+  /// per drain). Tests set it >1 to force the parallel drain paths on
+  /// small hosts.
   uint32_t HostThreadsOverride = 0;
-  /// Topology override for tests (mocked multi-node layouts, forced
-  /// single-node); null probes sysfs once at construction. Placement
-  /// results are bit-identical under every topology — only locality and
-  /// counters change.
-  std::shared_ptr<const support::Topology> TopologyOverride;
-  /// Lookahead migration scheduling and adaptive epoch back-off.
-  LookaheadOptions Lookahead;
   /// Telemetry collection and export. Constructing a Runtime with
   /// Enabled (or any output path) set arms the process-wide obs switch;
   /// with the default (disabled) config every instrumentation site costs
@@ -203,28 +149,6 @@ struct SkippedChunk {
   sim::TierId Target = sim::TierId::Fast;
   /// Highest per-chunk priority (Eq. 1 PR) in the range at skip time.
   double Priority = 0.0;
-};
-
-/// Cumulative outcome counters of the lookahead scheduler. All zero while
-/// lookahead is off; tests and the micro_lookahead bench read them.
-struct LookaheadStats {
-  /// Chunks the planner nominated (before the capacity budget).
-  uint64_t PredictedChunks = 0;
-  /// Staging buffers successfully mapped ahead of demand.
-  uint64_t StagedRanges = 0;
-  /// Prediction hits: staged ranges the fresh plan confirmed, committed
-  /// at the boundary for the price of a remap.
-  uint64_t CommittedRanges = 0;
-  /// Staged ranges dropped without touching placement (misprediction,
-  /// failed copy, or failed commit).
-  uint64_t CancelledRanges = 0;
-  /// Overlapped copies that hit an injected fault.
-  uint64_t CopyFaults = 0;
-  /// optimize() calls skipped by the adaptive epoch back-off.
-  uint64_t BackedOffEpochs = 0;
-  /// Staging-copy seconds absorbed by the compute overlap — demand-path
-  /// migrations would have paid these as boundary stall.
-  double OverlappedSimSec = 0.0;
 };
 
 /// The ATMem runtime for one simulated testbed.
@@ -345,14 +269,6 @@ public:
   /// instead of dropping them.
   const std::vector<SkippedChunk> &skippedChunks() const { return Skipped; }
 
-  /// Cumulative lookahead scheduler outcomes (all zero when
-  /// Config.Lookahead.Enabled is false).
-  const LookaheadStats &lookaheadStats() const { return LkStats; }
-
-  /// Host memory topology captured at construction (the override, the
-  /// sysfs probe, or the degraded single-node fallback).
-  const support::Topology &topology() const { return Topo; }
-
   /// Host threads cached at construction; every drain gate reads this.
   uint32_t hostThreads() const { return HostThreads; }
 
@@ -401,38 +317,13 @@ private:
 
   /// Batched drain stages over the per-context miss buffers.
   void drainBatched();
-  /// Stage 4 of the batched drain: block-pipelined TLB replay over every
-  /// shard buffer (batched VPN derivation, gather-probed translation
-  /// hints, run skip). Touches only ReplayTlb/ReplayCache and the
-  /// VpnScratch/HugeHintScratch members plus read-only miss buffers, so
-  /// drainBatched may run it on a separate thread overlapped with stages
-  /// 2-3.
+  /// Stage 4 of the batched drain: TLB replay over every shard buffer with
+  /// a huge-page run skip. Touches only ReplayTlb/ReplayCache plus
+  /// read-only miss buffers, so drainBatched may run it on a separate
+  /// thread overlapped with stages 2-3.
   void replayTlbBatched();
   /// Reference per-miss drain (pre-optimization behaviour).
   void drainReference();
-
-  /// \name Lookahead pipeline steps (no-ops while Lookahead is disabled)
-  /// @{
-  /// Joins the overlapped copy thread so every staged range's CopyDone is
-  /// settled before the boundary reads it.
-  void joinLookaheadCopies();
-  /// Destructor path: joins the copy thread and cancels anything still
-  /// staged so no staging region outlives the runtime.
-  void shutdownLookahead();
-  /// Adaptive epoch back-off: true when this optimize() call should be
-  /// skipped outright (converged placement, no drift, nothing staged).
-  bool skipConvergedEpoch();
-  /// Epoch-boundary resolution: commit staged ranges the fresh plan
-  /// confirmed, cancel the rest. Runs before demotions/promotions so the
-  /// demand path sees the committed chunks as already placed.
-  void resolveStagedAhead(mem::MigrationResult &Result);
-  /// Feeds the planner this epoch's trend features, predicts, stages the
-  /// winners under the capacity budget, and launches the overlapped copy.
-  void stageLookahead(
-      const std::vector<analyzer::ObjectClassification> &Classes);
-  /// Converged-streak accounting and back-off window arming.
-  void updateBackoff();
-  /// @}
 
   /// The calling thread's shard binding inside a parallelTracked region.
   /// Owner disambiguates between runtimes when several coexist (the
@@ -476,67 +367,24 @@ private:
   /// re-walking the registry index from cold every batch.
   mem::AttributionHint SerialAttrHint;
   std::vector<mem::AttributionHint> AttrHintScratch;
-  /// \name Topology-sharded drain state
-  /// @{
-  /// Host topology captured once at construction (override, probe, or
-  /// degraded single-node fallback) and the cached host thread count.
-  support::Topology Topo;
+  /// Host threads cached once at construction.
   uint32_t HostThreads = 1;
   /// Per-shard selection states / outputs of the parallel stage-1
   /// pre-scan (spliced into PendingScratch in shard order).
   std::vector<prof::SelectionState> SelStateScratch;
   std::vector<std::vector<prof::PendingSample>> SelScratch;
-  /// Stage-4 block scratch: a block's VPNs and its gather-probed
-  /// cached-huge hints. Only the replay stage touches these (see
-  /// replayTlbBatched's overlap contract).
-  std::vector<uint64_t> VpnScratch;
-  std::vector<uint8_t> HugeHintScratch;
-  /// One participant's node-local copy of the registry's attribution
-  /// index, refreshed lazily (by the pinned worker itself, so the copy is
-  /// first-touched on its node) when the registry's version moves. Used
-  /// only on multi-node hosts; single-node drains read the shared index
-  /// as before. Padded so neighbouring participants don't false-share.
-  struct alignas(64) NodeAttrReplica {
-    std::vector<mem::DataObjectRegistry::AttrInterval> Index;
-    uint64_t Version = ~0ull;
-  };
-  std::vector<NodeAttrReplica> NodeAttr;
-  /// @}
-  /// \name Lookahead state (untouched while Config.Lookahead.Enabled is
-  /// false, so the disabled runtime is byte-identical to one predating
-  /// the subsystem)
-  /// @{
-  std::unique_ptr<analyzer::LookaheadPlanner> Lookahead;
-  /// Ranges staged ahead for the next epoch boundary. Written on the
-  /// optimize() thread; the copy thread only mutates CopyDone /
-  /// OverlappedSimSec of its entries and is joined before they are read.
-  std::vector<mem::StagedAheadRange> StagedRanges;
-  std::thread LookaheadCopyThread;
-  uint32_t ConvergedStreak = 0;
-  uint32_t BackoffLen = 0;
-  uint32_t BackoffRemaining = 0;
-  LookaheadStats LkStats;
-  /// Churn inputs of the epoch being built (reset at each optimize()).
-  uint64_t EpochRenominated = 0;
-  uint64_t EpochRollbacks = 0;
-  /// @}
   bool TrackingEnabled = true;
   /// True while a "runtime.iteration" trace span is open (beginIteration
   /// ran with telemetry enabled; endIteration closes it).
   bool IterationSpanOpen = false;
   /// \name Live observability (inert unless Telemetry configures it)
   /// @{
-  /// 1-based ordinal of optimize() calls that ran a full epoch (skipped
-  /// converged epochs do not count) — the time-series x axis.
+  /// 1-based ordinal of optimize() calls — the time-series x axis.
   uint64_t OptimizeEpochs = 0;
-  /// Migration retries of the epoch being built (companion to
-  /// EpochRenominated/EpochRollbacks, reset every optimize()).
+  /// Migration retries and range rollbacks of the epoch being built
+  /// (both reset every optimize()).
   uint64_t EpochRetries = 0;
-  /// LkStats values at the previous epoch boundary, so samples report
-  /// per-epoch deltas of the cumulative lookahead counters.
-  uint64_t TsPrevStaged = 0;
-  uint64_t TsPrevCancelled = 0;
-  double TsPrevOverlap = 0.0;
+  uint64_t EpochRollbacks = 0;
   /// Snapshot server for --stats-socket (null when not requested, so the
   /// only cost in that mode is a pointer null check at shutdown).
   std::unique_ptr<obs::StatsServer> StatsServer;
@@ -558,8 +406,7 @@ private:
 
   /// Captures this epoch's time-series sample, feeds the health monitor,
   /// and refreshes the stats snapshot (no-ops when no sink is configured).
-  void captureEpochSample(const mem::MigrationResult &Result,
-                          uint64_t RollbacksBefore, double WallUs,
+  void captureEpochSample(const mem::MigrationResult &Result, double WallUs,
                           double IterWallUs);
   /// Reports the chunks \p Moved actually placed on \p ToFast's tier to
   /// the health monitor's ping-pong tracker (no-op when HealthMon is

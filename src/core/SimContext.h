@@ -45,16 +45,8 @@ struct TrackHandle {
 /// is never active twice concurrently).
 class SimContext {
 public:
-  explicit SimContext(const sim::CacheConfig &ShardGeometry,
-                      uint32_t HomeNodeId = 0)
-      : Shard(ShardGeometry), HomeNodeId(HomeNodeId) {}
-
-  /// NUMA node this shard's worker is pinned to (0 on single-node
-  /// layouts). Purely locality/accounting metadata — placement results
-  /// never depend on it. The miss buffer itself ends up node-local by
-  /// first touch: it only ever grows inside onAccess() on the pinned
-  /// worker.
-  uint32_t homeNode() const { return HomeNodeId; }
+  explicit SimContext(const sim::CacheConfig &ShardGeometry)
+      : Shard(ShardGeometry) {}
 
   /// Lock-free hot path: probe the private LLC shard and account the
   /// access; misses are optionally buffered for the deterministic
@@ -125,7 +117,6 @@ private:
   std::vector<uint64_t> MissBuffer;
   size_t MissHighWater = 0;
   bool BufferMisses = false;
-  uint32_t HomeNodeId = 0;
 };
 
 } // namespace core

@@ -31,25 +31,6 @@ void countRollback() {
 
 fault::Site StagingAllocFault("migrator.staging_alloc");
 fault::Site RemapFault("migrator.remap");
-fault::Site LookaheadAllocFault("lookahead.staging_alloc");
-fault::Site LookaheadCopyFault("lookahead.copy");
-
-/// Counter twins of the StagedAhead / PrefetchCancelled decision events;
-/// crossCheckDecisionMetrics holds them equal to the event counts, so they
-/// are bumped at exactly the event-emission sites.
-void countStagedAhead() {
-  if (obs::enabled()) {
-    static obs::Counter Staged("lookahead.staged_ranges");
-    Staged.add(1);
-  }
-}
-
-void countPrefetchCancelled() {
-  if (obs::enabled()) {
-    static obs::Counter Cancelled("lookahead.cancelled_ranges");
-    Cancelled.add(1);
-  }
-}
 
 /// Flight-recorder lifecycle event for one range inside migrate(). The
 /// fault site is only set on RolledBack, attributing which stage failed.
@@ -223,144 +204,4 @@ MigrationStatus AtmemMigrator::migrate(DataObject &Obj,
     }
   }
   return MigrationStatus::Success;
-}
-
-MigrationStatus
-AtmemMigrator::stageAhead(DataObject &Obj,
-                          const std::vector<ChunkRange> &Ranges,
-                          sim::TierId Target,
-                          std::vector<StagedAheadRange> &Out) {
-  sim::Machine &M = Registry.machine();
-  sim::PageTable &PT = M.pageTable();
-
-  // Pipeline peak per range: the staging buffer mapped now plus the fresh
-  // frames the commit-time remap allocates before the buffer is released.
-  // Checking 2x up front means a range that stages successfully can always
-  // commit — the boundary never discovers capacity pressure it could have
-  // seen here.
-  uint64_t IncomingBytes = 0;
-  for (const ChunkRange &Range : Ranges) {
-    auto [Begin, End] = Obj.rangeBytes(Range);
-    IncomingBytes += End - Begin;
-  }
-  if (M.allocator(Target).freeBytes() < 2 * IncomingBytes)
-    return MigrationStatus::Degraded;
-
-  for (const ChunkRange &Range : Ranges) {
-    auto [Begin, End] = Obj.rangeBytes(Range);
-    uint64_t Len = End - Begin;
-    if (Len == 0)
-      continue;
-    uint64_t StagingVa = Registry.reserveScratchVa(Len);
-    if (LookaheadAllocFault.shouldFail() ||
-        !PT.mapRegion(StagingVa, Len, Target, /*PreferHuge=*/true)) {
-      countRollback();
-      recordRangeEvent(Obj, Range, Target, obs::DecisionPhase::RolledBack,
-                       "lookahead.staging_alloc");
-      return MigrationStatus::Retryable;
-    }
-    StagedAheadRange Staged;
-    Staged.Object = Obj.id();
-    Staged.Range = Range;
-    Staged.StagingVa = StagingVa;
-    Staged.Len = Len;
-    Staged.Source = Obj.chunkTier(Range.FirstChunk);
-    Out.push_back(Staged);
-    countStagedAhead();
-    recordRangeEvent(Obj, Range, Target, obs::DecisionPhase::StagedAhead);
-  }
-  return MigrationStatus::Success;
-}
-
-bool AtmemMigrator::copyStagedAhead(StagedAheadRange &Staged,
-                                    sim::TierId Target) {
-  if (LookaheadCopyFault.shouldFail())
-    return false;
-  // Model the cross-tier staging copy's bandwidth consumption without
-  // reading the live range (the application is mutating it concurrently):
-  // the pool streams a pattern through a thread-private block, paying the
-  // same host memory traffic per byte, and the cost model supplies the
-  // simulated copy-in seconds that the overlap absorbs.
-  Pool.parallelFor(0, Staged.Len, [](uint64_t From, uint64_t To) {
-    std::byte Block[4096];
-    for (uint64_t At = From; At < To; At += sizeof(Block))
-      std::memset(Block, static_cast<int>(At >> 12),
-                  static_cast<size_t>(std::min<uint64_t>(sizeof(Block),
-                                                         To - At)));
-  });
-  sim::MigrationWork Work;
-  Work.Bytes = Staged.Len;
-  Work.Source = Staged.Source;
-  Work.Target = Target;
-  Staged.OverlappedSimSec =
-      Registry.machine().migrationModel().atmemStages(Work).CopyInSec;
-  Staged.CopyDone = true;
-  return true;
-}
-
-MigrationStatus
-AtmemMigrator::commitStagedAhead(DataObject &Obj,
-                                 const StagedAheadRange &Staged,
-                                 sim::TierId Target,
-                                 MigrationResult &Result) {
-  sim::Machine &M = Registry.machine();
-  sim::PageTable &PT = M.pageTable();
-  const sim::MigrationCostModel &Cost = M.migrationModel();
-  sim::TierId Source = Obj.chunkTier(Staged.Range.FirstChunk);
-
-  // Release the staging reservation first, then rebind: the remap's fresh
-  // frames take the staged frames' place on the same tier, so the peak
-  // footprint never exceeds what stageAhead() reserved. If the remap then
-  // fails, the source mapping is untouched — the prefetch just evaporates.
-  PT.unmapRegion(Staged.StagingVa, Staged.Len);
-  uint64_t RangeVa = Obj.va() + Obj.rangeBytes(Staged.Range).first;
-  uint64_t Ptes = 0;
-  if (RemapFault.shouldFail() ||
-      !PT.remapRange(RangeVa, Staged.Len, Target, /*PreferHuge=*/true,
-                     &Ptes)) {
-    countRollback();
-    countPrefetchCancelled();
-    recordRangeEvent(Obj, Staged.Range, Target,
-                     obs::DecisionPhase::PrefetchCancelled, "migrator.remap");
-    return MigrationStatus::Retryable;
-  }
-  for (uint32_t C = Staged.Range.FirstChunk;
-       C < Staged.Range.FirstChunk + Staged.Range.NumChunks; ++C)
-    Obj.setChunkTier(C, Target);
-  recordRangeEvent(Obj, Staged.Range, Target, obs::DecisionPhase::Committed);
-
-  // The boundary pays only the remap and launch costs; the cross-tier
-  // copy's seconds were absorbed by the overlap (OverlappedSimSec).
-  sim::MigrationWork Work;
-  Work.Bytes = Staged.Len;
-  Work.PtesTouched = Ptes;
-  Work.Source = Source;
-  Work.Target = Target;
-  sim::AtmemStageBreakdown Stages = Cost.atmemStages(Work);
-  Result.SimSeconds += Stages.RemapSec + M.config().Migration.AtmemPerRangeSec;
-  Result.BytesMoved += Staged.Len;
-  Result.PtesTouched += Ptes;
-  Result.Ranges += 1;
-
-  if (obs::enabled()) {
-    static obs::Counter RangeCount("migrator.ranges");
-    static obs::Counter PteCount("migrator.ptes_touched");
-    static obs::Histogram RangeBytes("migrator.range_bytes");
-    RangeCount.add(1);
-    PteCount.add(Ptes);
-    RangeBytes.record(Staged.Len);
-    countDirection(Target, Staged.Len);
-    static obs::Counter Overlapped("lookahead.overlapped_sim_us");
-    Overlapped.add(static_cast<uint64_t>(Staged.OverlappedSimSec * 1e6));
-  }
-  return MigrationStatus::Success;
-}
-
-void AtmemMigrator::cancelStagedAhead(DataObject &Obj,
-                                      const StagedAheadRange &Staged,
-                                      sim::TierId Target) {
-  Registry.machine().pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-  countPrefetchCancelled();
-  recordRangeEvent(Obj, Staged.Range, Target,
-                   obs::DecisionPhase::PrefetchCancelled);
 }

@@ -16,22 +16,6 @@
 /// across tiers and once within the target tier, but both copies run at
 /// full thread-parallel bandwidth and the mapping stays huge-page friendly.
 ///
-/// On top of migrate()'s demand path, the migrator exposes the lookahead
-/// scheduler's *staged-ahead* pipeline: stageAhead() reserves and maps a
-/// staging buffer per predicted range (cheap, synchronous),
-/// copyStagedAhead() performs the cross-tier staging copy off the epoch
-/// boundary (overlapped with kernel compute; its modelled seconds are
-/// recorded as absorbed, not charged as a stall), and the epoch boundary
-/// either commitStagedAhead()s a confirmed prediction — releasing the
-/// staging reservation and rebinding the range onto target-tier frames in
-/// one remap, the only cost the boundary pays — or cancelStagedAhead()s a
-/// misprediction, which just unmaps the staging buffer and leaves
-/// placement exactly as a run without lookahead would have had it. The
-/// live bytes are never rewritten from the staged copy (the application
-/// keeps mutating the range during the overlap; the staged frames and the
-/// committed frames live on the same tier, so adopting fresh frames at
-/// remap is observably equivalent to adopting the staged ones).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ATMEM_MEM_ATMEMMIGRATOR_H
@@ -43,27 +27,6 @@
 
 namespace atmem {
 namespace mem {
-
-/// One chunk range whose staging buffer the lookahead scheduler has mapped
-/// ahead of demand. Owned by the runtime between stageAhead() and the
-/// epoch-boundary commit/cancel; CopyDone is written by the overlapped
-/// copy thread and read only after that thread is joined.
-struct StagedAheadRange {
-  ObjectId Object = 0;
-  ChunkRange Range;
-  uint64_t StagingVa = 0;
-  uint64_t Len = 0;
-  /// Tier the range resided on at stage time (captured so the overlapped
-  /// copy thread never dereferences the registry).
-  sim::TierId Source = sim::TierId::Slow;
-  /// Set by copyStagedAhead() on success. A staged range whose copy never
-  /// completed (fault injection, shutdown) must be cancelled, not
-  /// committed.
-  bool CopyDone = false;
-  /// Modelled seconds of the staging copy, absorbed by the overlap with
-  /// kernel compute instead of stalling the epoch boundary.
-  double OverlappedSimSec = 0.0;
-};
 
 /// Application-level staged migrator.
 class AtmemMigrator : public Migrator {
@@ -82,53 +45,6 @@ public:
 
   uint64_t capacityNeeded(uint64_t PayloadBytes,
                           uint64_t MaxRangeBytes) const override;
-
-  /// \name Staged-ahead (lookahead) pipeline
-  /// @{
-
-  /// Maps one staging buffer per range of \p Ranges on \p Target and
-  /// appends the resulting records to \p Out. Synchronous and copy-free;
-  /// emits one StagedAhead decision event per staged range. Capacity is
-  /// checked up front for the full pipeline peak (staging now plus the
-  /// commit-time remap), so a successful stage can always commit. Stops at
-  /// the first allocation failure or injected `lookahead.staging_alloc`
-  /// fault: earlier ranges stay staged (the caller resolves them normally)
-  /// and Retryable is returned.
-  MigrationStatus stageAhead(DataObject &Obj,
-                             const std::vector<ChunkRange> &Ranges,
-                             sim::TierId Target,
-                             std::vector<StagedAheadRange> &Out);
-
-  /// The overlapped cross-tier copy into \p Staged's buffer, run off the
-  /// epoch boundary (typically from the runtime's lookahead copy thread)
-  /// on the migration pool. Touches only the staging allocation — never
-  /// the live range, which the application keeps mutating during the
-  /// overlap. On success sets CopyDone and records the modelled copy
-  /// seconds in OverlappedSimSec; an injected `lookahead.copy` fault
-  /// leaves CopyDone unset, degrading the prefetch to a no-op. Emits no
-  /// decision events and reads no registry state (those stay on the
-  /// resolving thread), so it is safe while the application runs.
-  bool copyStagedAhead(StagedAheadRange &Staged, sim::TierId Target);
-
-  /// Epoch-boundary commit of a confirmed prediction: releases the staging
-  /// reservation and rebinds the live range onto \p Target frames in one
-  /// remap, then flips the chunk tiers. Only the remap and per-range
-  /// launch costs are charged to \p Result — the cross-tier copy already
-  /// ran overlapped. A remap failure (injected `migrator.remap` fault or
-  /// exhausted frames) leaves placement untouched, emits
-  /// PrefetchCancelled, and returns Retryable: the prefetch degrades to a
-  /// no-op and the chunks stay eligible for the demand path.
-  MigrationStatus commitStagedAhead(DataObject &Obj,
-                                    const StagedAheadRange &Staged,
-                                    sim::TierId Target,
-                                    MigrationResult &Result);
-
-  /// Drops a staged-ahead range without touching placement: unmaps the
-  /// staging buffer and emits PrefetchCancelled. Used for mispredictions,
-  /// failed copies, and shutdown.
-  void cancelStagedAhead(DataObject &Obj, const StagedAheadRange &Staged,
-                         sim::TierId Target);
-  /// @}
 
 private:
   DataObjectRegistry &Registry;

@@ -100,40 +100,31 @@ void DataObjectRegistry::rebuildAttributionIndex() {
             [](const AttrInterval &A, const AttrInterval &B) {
               return A.Begin < B.Begin;
             });
-  ++AttrIndexVersion;
-}
-
-bool DataObjectRegistry::attributeWithIndex(const AttrInterval *Index,
-                                            size_t Count, uint64_t Va,
-                                            Attribution &Out,
-                                            AttributionHint &Hint) {
-  const AttrInterval *Iv = nullptr;
-  if (Hint.Slot < Count) {
-    const AttrInterval &Cand = Index[Hint.Slot];
-    if (Va >= Cand.Begin && Va < Cand.End)
-      Iv = &Cand;
-  }
-  if (!Iv) {
-    const AttrInterval *It = std::upper_bound(
-        Index, Index + Count, Va,
-        [](uint64_t V, const AttrInterval &I) { return V < I.Begin; });
-    if (It == Index)
-      return false;
-    --It;
-    if (Va >= It->End)
-      return false;
-    Iv = It;
-    Hint.Slot = static_cast<uint32_t>(It - Index);
-  }
-  Out.Object = Iv->Object;
-  Out.Chunk = static_cast<uint32_t>((Va - Iv->Begin) >> Iv->ChunkShift);
-  return true;
 }
 
 bool DataObjectRegistry::attributeIndexed(uint64_t Va, Attribution &Out,
                                           AttributionHint &Hint) const {
-  return attributeWithIndex(AttrIndex.data(), AttrIndex.size(), Va, Out,
-                            Hint);
+  const AttrInterval *Iv = nullptr;
+  if (Hint.Slot < AttrIndex.size()) {
+    const AttrInterval &Cand = AttrIndex[Hint.Slot];
+    if (Va >= Cand.Begin && Va < Cand.End)
+      Iv = &Cand;
+  }
+  if (!Iv) {
+    auto It = std::upper_bound(
+        AttrIndex.begin(), AttrIndex.end(), Va,
+        [](uint64_t V, const AttrInterval &I) { return V < I.Begin; });
+    if (It == AttrIndex.begin())
+      return false;
+    --It;
+    if (Va >= It->End)
+      return false;
+    Iv = &*It;
+    Hint.Slot = static_cast<uint32_t>(It - AttrIndex.begin());
+  }
+  Out.Object = Iv->Object;
+  Out.Chunk = static_cast<uint32_t>((Va - Iv->Begin) >> Iv->ChunkShift);
+  return true;
 }
 
 bool DataObjectRegistry::attribute(uint64_t Va, Attribution &Out) const {

@@ -54,17 +54,6 @@ enum class InitialPlacement {
 /// Creates, maps, looks up, and destroys data objects on one machine.
 class DataObjectRegistry {
 public:
-  /// One live object's address range, denormalized for attribution.
-  /// Public so NUMA-sharded drains can keep node-local replicas of the
-  /// index (attributeWithIndex) instead of pulling every lookup through
-  /// one socket's cache lines.
-  struct AttrInterval {
-    uint64_t Begin = 0; ///< Object VA.
-    uint64_t End = 0;   ///< Object VA + mapped bytes.
-    ObjectId Object = 0;
-    uint32_t ChunkShift = 0;
-  };
-
   explicit DataObjectRegistry(sim::Machine &M) : M(M) {}
 
   /// Registers an object of \p SizeBytes named \p Name. Chunk size is
@@ -99,27 +88,6 @@ public:
   bool attributeIndexed(uint64_t Va, Attribution &Out,
                         AttributionHint &Hint) const;
 
-  /// attributeIndexed() against a caller-supplied copy of the interval
-  /// index. Per-node replicas of the index (copied while the registry is
-  /// quiescent, validated via attributionIndexVersion()) give identical
-  /// results — the lookup touches only \p Index and \p Hint.
-  static bool attributeWithIndex(const AttrInterval *Index, size_t Count,
-                                 uint64_t Va, Attribution &Out,
-                                 AttributionHint &Hint);
-
-  /// \name Attribution-index snapshot access
-  /// The sorted interval index and its rebuild count. The version bumps
-  /// on every create/destroy, so replica holders can revalidate with one
-  /// integer compare; the span stays valid (and the version stable) while
-  /// no object is created or destroyed — the same quiescence
-  /// attributeIndexed() already requires.
-  ///@{
-  uint64_t attributionIndexVersion() const { return AttrIndexVersion; }
-  const std::vector<AttrInterval> &attributionIndex() const {
-    return AttrIndex;
-  }
-  ///@}
-
   DataObject &object(ObjectId Id);
   const DataObject &object(ObjectId Id) const;
 
@@ -144,6 +112,14 @@ public:
   }
 
 private:
+  /// One live object's address range, denormalized for attribution.
+  struct AttrInterval {
+    uint64_t Begin = 0; ///< Object VA.
+    uint64_t End = 0;   ///< Object VA + mapped bytes.
+    ObjectId Object = 0;
+    uint32_t ChunkShift = 0;
+  };
+
   void rebuildAttributionIndex();
 
   sim::Machine &M;
@@ -153,8 +129,6 @@ private:
   /// Live-object ranges sorted by Begin (ranges are disjoint — the
   /// address space never reuses or overlaps allocations).
   std::vector<AttrInterval> AttrIndex;
-  /// Bumped on every rebuild; lets replicas revalidate cheaply.
-  uint64_t AttrIndexVersion = 0;
 };
 
 } // namespace mem

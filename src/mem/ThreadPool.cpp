@@ -16,7 +16,7 @@ fault::Site SpawnFault("threadpool.spawn");
 
 } // namespace
 
-ThreadPool::ThreadPool(uint32_t Threads, WorkerInit Init) {
+ThreadPool::ThreadPool(uint32_t Threads) {
   uint32_t Count = std::max<uint32_t>(Threads, 1);
   Workers.reserve(Count);
   for (uint32_t I = 0; I < Count; ++I) {
@@ -26,13 +26,7 @@ ThreadPool::ThreadPool(uint32_t Threads, WorkerInit Init) {
     if (SpawnFault.shouldFail())
       continue;
     try {
-      // The init hook runs on the worker itself (affinity is per-thread)
-      // before the worker becomes eligible for tasks.
-      Workers.emplace_back([this, I, Init] {
-        if (Init)
-          Init(I);
-        workerLoop();
-      });
+      Workers.emplace_back([this] { workerLoop(); });
     } catch (const std::system_error &) {
       break;
     }

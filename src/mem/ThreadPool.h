@@ -42,15 +42,8 @@ public:
   /// the body can be keyed on it (one simulation shard per participant).
   using ThreadedBody = std::function<void(uint32_t, uint64_t, uint64_t)>;
 
-  /// Per-worker setup hook, run once on each worker's own thread (with its
-  /// worker index) before it takes any task. The topology-sharded runtime
-  /// pins worker I to its shard's home NUMA node here so everything the
-  /// worker first-touches — miss buffers, recycle pools, index replicas —
-  /// is allocated node-locally. Must not throw.
-  using WorkerInit = std::function<void(uint32_t)>;
-
-  /// Spawns \p Threads workers (at least one), each running \p Init first.
-  explicit ThreadPool(uint32_t Threads, WorkerInit Init = nullptr);
+  /// Spawns \p Threads workers (at least one).
+  explicit ThreadPool(uint32_t Threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;

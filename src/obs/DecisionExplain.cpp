@@ -67,8 +67,6 @@ char phaseChar(const MigrationEventRecord &R) {
   case DecisionPhase::Skipped:
   case DecisionPhase::RolledBack:
     return 'x';
-  case DecisionPhase::StagedAhead:
-    return '>';
   default:
     return 0;
   }
@@ -77,12 +75,10 @@ char phaseChar(const MigrationEventRecord &R) {
 int precedence(char C) {
   switch (C) {
   case 'x':
-    return 7;
-  case '#':
     return 6;
-  case 'v':
+  case '#':
     return 5;
-  case '>':
+  case 'v':
     return 4;
   case 'p':
     return 3;
@@ -276,45 +272,6 @@ bool obs::explainChunk(const DecisionArtifact &Artifact,
   }
   if (!AnyEvent)
     Out += "  migration: no lifecycle events cover this chunk this epoch\n";
-
-  // Lookahead provenance. A staged-ahead range is recorded in the epoch
-  // whose trend predicted it; its commit (or cancellation) lands at the
-  // *next* epoch's boundary, so answering "why was this chunk already in
-  // the fast tier when the epoch began" takes stitching the two. Object
-  // ids are stable across epochs within one run, so the earlier epoch's
-  // events are matched by id.
-  const MigrationEventRecord *Staged = nullptr;
-  bool CommittedHere = false, CancelledHere = false;
-  for (const DecisionRecord &Rec : Artifact.Records) {
-    if (Rec.Kind != DecisionKind::MigrationEvent)
-      continue;
-    const MigrationEventRecord &R = Rec.Migration;
-    if (R.Object != Obj->Object || Query.Chunk < R.FirstChunk ||
-        Query.Chunk >= R.FirstChunk + R.NumChunks)
-      continue;
-    if (R.Phase == DecisionPhase::StagedAhead && R.Epoch < Obj->Epoch &&
-        (!Staged || R.Epoch > Staged->Epoch))
-      Staged = &R;
-    if (R.Epoch == Obj->Epoch) {
-      if (R.Phase == DecisionPhase::Committed && R.TargetFast)
-        CommittedHere = true;
-      if (R.Phase == DecisionPhase::PrefetchCancelled)
-        CancelledHere = true;
-    }
-  }
-  if (Staged && CommittedHere)
-    Out += fmt("  lookahead: staged ahead in epoch %" PRIu64
-               " (trend predicted next-epoch criticality); the overlapped "
-               "copy ran during compute and this epoch's boundary paid only "
-               "the remap — the chunk was already resident in the fast tier "
-               "when the plan confirmed it\n",
-               Staged->Epoch);
-  else if (Staged && CancelledHere)
-    Out += fmt("  lookahead: staged ahead in epoch %" PRIu64
-               " but cancelled at this boundary (fresh plan did not confirm "
-               "the prediction, or the copy faulted); placement fell back to "
-               "the demand path unchanged\n",
-               Staged->Epoch);
   return true;
 }
 
@@ -344,9 +301,8 @@ std::string obs::renderHeatmap(const DecisionArtifact &Artifact,
       fmt("object '%s': %u chunks, %u chunk%s per column\n",
           Object.c_str(), NumChunks, PerColumn, PerColumn == 1 ? "" : "s");
   Out += "legend: '#' committed fast, 'v' committed slow, 'x' "
-         "skipped/rolled back,\n        '>' staged ahead (lookahead), "
-         "'p' promoted, 'g' global-ranked,\n        's' sampled critical, "
-         "'.' cold\n";
+         "skipped/rolled back,\n        'p' promoted, 'g' global-ranked, "
+         "'s' sampled critical, '.' cold\n";
   for (const auto &[Epoch, Info] : Epochs) {
     std::vector<char> Cells(NumChunks, '.');
     for (const DecisionRecord &Rec : Artifact.Records) {

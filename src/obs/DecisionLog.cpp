@@ -205,10 +205,6 @@ const char *obs::decisionPhaseName(DecisionPhase Phase) {
     return "skipped";
   case DecisionPhase::Renominated:
     return "renominated";
-  case DecisionPhase::StagedAhead:
-    return "staged_ahead";
-  case DecisionPhase::PrefetchCancelled:
-    return "prefetch_cancelled";
   }
   return "unknown";
 }
@@ -648,12 +644,10 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
   uint64_t CurrentEpoch = 0;
   bool SawEpoch = false;
   std::unordered_map<uint32_t, std::string> Defined;
-  // (epoch, object) pairs with an ObjectEpoch record, for reference
-  // checking of chunk and migration records.
-  std::unordered_map<uint64_t, uint8_t> ObjectSeen;
-  auto key = [](uint64_t Epoch, uint32_t Object) {
-    return (Epoch << 32) | Object;
-  };
+  // Chunk count of every object with an ObjectEpoch record in the current
+  // epoch, for reference and range checking of chunk and migration
+  // records (which must carry the current epoch themselves).
+  std::unordered_map<uint32_t, uint32_t> ObjectChunks;
 
   for (size_t I = 0; I < Artifact.Records.size(); ++I) {
     const DecisionRecord &Rec = Artifact.Records[I];
@@ -674,6 +668,7 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
                     " not above previous " + std::to_string(CurrentEpoch));
       CurrentEpoch = Rec.Epoch;
       SawEpoch = true;
+      ObjectChunks.clear();
       ++Local.Epochs;
       break;
     case DecisionKind::ObjectEpoch: {
@@ -685,7 +680,12 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
       if (R.NameId != 0 && !Defined.count(R.NameId))
         return fail("ObjectEpoch references undefined name id " +
                     std::to_string(R.NameId));
-      ObjectSeen[key(R.Epoch, R.Object)] = 1;
+      if (static_cast<uint8_t>(R.Winner) >
+          static_cast<uint8_t>(ThetaWinner::NoiseFloor))
+        return fail("ObjectEpoch theta winner " +
+                    std::to_string(static_cast<unsigned>(R.Winner)) +
+                    " out of range");
+      ObjectChunks[R.Object] = R.NumChunks;
       ++Local.Objects;
       break;
     }
@@ -693,10 +693,15 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
       const ChunkDecisionRecord &R = Rec.Chunk;
       if (R.Epoch != CurrentEpoch)
         return fail("ChunkDecision epoch mismatch");
-      if (!ObjectSeen.count(key(R.Epoch, R.Object)))
+      auto Obj = ObjectChunks.find(R.Object);
+      if (Obj == ObjectChunks.end())
         return fail("ChunkDecision for object " +
                     std::to_string(R.Object) +
                     " without a preceding ObjectEpoch");
+      if (R.Chunk >= Obj->second)
+        return fail("ChunkDecision chunk " + std::to_string(R.Chunk) +
+                    " outside the object's " +
+                    std::to_string(Obj->second) + " chunks");
       ++Local.Chunks;
       if (R.Flags & DecisionChunkPromoted)
         ++Local.PromotedChunks;
@@ -706,6 +711,27 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
       const MigrationEventRecord &R = Rec.Migration;
       if (R.Epoch != CurrentEpoch)
         return fail("MigrationEvent epoch mismatch");
+      auto Obj = ObjectChunks.find(R.Object);
+      if (Obj == ObjectChunks.end())
+        return fail("MigrationEvent for object " +
+                    std::to_string(R.Object) +
+                    " without a preceding ObjectEpoch");
+      // 64-bit end: a 32-bit FirstChunk + NumChunks could wrap back into
+      // range.
+      uint64_t End = static_cast<uint64_t>(R.FirstChunk) + R.NumChunks;
+      if (R.NumChunks == 0 || End > Obj->second)
+        return fail("MigrationEvent chunks [" +
+                    std::to_string(R.FirstChunk) + "," +
+                    std::to_string(End) + ") empty or outside the object's " +
+                    std::to_string(Obj->second) + " chunks");
+      if (R.TargetFast > 1)
+        return fail("MigrationEvent target byte " +
+                    std::to_string(R.TargetFast) + " out of range");
+      if (static_cast<uint8_t>(R.Phase) >
+          static_cast<uint8_t>(DecisionPhase::Renominated))
+        return fail("MigrationEvent phase " +
+                    std::to_string(static_cast<unsigned>(R.Phase)) +
+                    " out of range");
       if (R.FaultSiteNameId != 0 && !Defined.count(R.FaultSiteNameId))
         return fail("MigrationEvent references undefined fault site id " +
                     std::to_string(R.FaultSiteNameId));
@@ -724,12 +750,6 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
         break;
       case DecisionPhase::Renominated:
         ++Local.Renominated;
-        break;
-      case DecisionPhase::StagedAhead:
-        ++Local.StagedAhead;
-        break;
-      case DecisionPhase::PrefetchCancelled:
-        ++Local.PrefetchCancelled;
         break;
       default:
         break;
@@ -847,8 +867,6 @@ bool obs::crossCheckDecisionMetrics(const DecisionArtifact &Artifact,
       {"migration.retries", Stats.Retried},
       {"migration.skipped_renominated", Stats.Renominated},
       {"analyzer.chunks_estimated_critical", Stats.PromotedChunks},
-      {"lookahead.staged_ranges", Stats.StagedAhead},
-      {"lookahead.cancelled_ranges", Stats.PrefetchCancelled},
   };
   for (const Check &C : Checks) {
     uint64_t FromMetrics = counter(C.Counter);

@@ -74,9 +74,7 @@ enum class DecisionPhase : uint8_t {
   Degraded = 6,   ///< Capacity shrink dropped the range from the attempt.
   Skipped = 7,    ///< Left unplaced; recorded for re-nomination.
   Renominated = 8, ///< A previously skipped range re-entered the plan.
-  StagedAhead = 9, ///< Lookahead prefetch: staging mapped ahead of demand.
-  PrefetchCancelled = 10, ///< Staged-ahead range dropped (misprediction or
-                          ///< fault); staging released, placement untouched.
+  // 9 and 10 are retired; validateDecisionLog rejects them.
 };
 
 const char *decisionPhaseName(DecisionPhase Phase);
@@ -265,8 +263,6 @@ struct DecisionLogStats {
   uint64_t Retried = 0;
   uint64_t Skipped = 0;
   uint64_t Renominated = 0;
-  uint64_t StagedAhead = 0;        ///< Lookahead prefetch stagings.
-  uint64_t PrefetchCancelled = 0;  ///< Staged-ahead ranges dropped.
 };
 
 /// \name Low-level atdl-v1 codec
@@ -297,9 +293,11 @@ bool readDecisionLog(const std::string &Path, DecisionArtifact &Out,
 /// Validates structural invariants of a decoded artifact: EpochBegin ids
 /// strictly increase; every other record carries the epoch of the latest
 /// EpochBegin; name references resolve to a preceding NameDef; chunk and
-/// migration records follow an ObjectEpoch for their (epoch, object); the
-/// trailer count matches the records actually present. Fills \p Stats
-/// when non-null (also on success-only paths).
+/// migration records follow an ObjectEpoch for their (epoch, object), and
+/// their chunk index or non-empty range lies inside that record's
+/// NumChunks; phase, theta-winner and target bytes are inside their
+/// enums; the trailer count matches the records actually present. Fills
+/// \p Stats when non-null (also on success-only paths).
 bool validateDecisionLog(const DecisionArtifact &Artifact,
                          std::string *Error = nullptr,
                          DecisionLogStats *Stats = nullptr);

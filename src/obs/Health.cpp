@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -59,8 +58,6 @@ const char *healthDetectorName(HealthDetector Detector) {
     return "migration_storm";
   case HealthDetector::PingPong:
     return "ping_pong";
-  case HealthDetector::LookaheadWaste:
-    return "lookahead_waste";
   case HealthDetector::OverheadBudget:
     return "overhead_budget";
   case HealthDetector::StalePlacement:
@@ -160,14 +157,6 @@ bool parseHealthKnobs(const std::string &Spec, HealthConfig &Out,
       U32(Cfg.PingPongWarnFlips);
     else if (Key == "pingpong_critical_flips")
       U32(Cfg.PingPongCriticalFlips);
-    else if (Key == "waste_window")
-      U32(Cfg.WasteWindowEpochs);
-    else if (Key == "waste_min_staged")
-      U64(Cfg.WasteMinStaged);
-    else if (Key == "waste_warn_ratio")
-      Cfg.WasteWarnRatio = D;
-    else if (Key == "waste_critical_ratio")
-      Cfg.WasteCriticalRatio = D;
     else if (Key == "overhead_warn")
       Cfg.OverheadWarnFraction = D;
     else if (Key == "overhead_critical")
@@ -238,9 +227,6 @@ struct HealthMonitor::Impl {
   };
   std::vector<PendingMove> PendingMoves;
   std::unordered_map<uint64_t, ChunkFlips> Flips;
-
-  /// LookaheadWaste window (per-epoch staged/cancelled pairs).
-  std::deque<std::pair<uint64_t, uint64_t>> WasteWindow;
 
   /// StalePlacement streak.
   uint64_t StaleStreak = 0;
@@ -433,39 +419,6 @@ HealthMonitor::observeEpoch(const EpochSample &Sample) {
                      WorstKey >> 32,
                      static_cast<uint32_t>(WorstKey & 0xffffffffu), MaxFlips,
                      Config.PingPongWindowEpochs),
-        Out);
-  }
-
-  // --- LookaheadWaste: cancelled/staged ratio over a sliding window (the
-  // cancel of a staged range lands one epoch after its staging, so the
-  // per-epoch ratio alone whipsaws).
-  {
-    I->WasteWindow.emplace_back(Sample.LookaheadStaged,
-                                Sample.LookaheadCancelled);
-    while (I->WasteWindow.size() > Config.WasteWindowEpochs)
-      I->WasteWindow.pop_front();
-    uint64_t Staged = 0, Cancelled = 0;
-    for (const auto &[S, C] : I->WasteWindow) {
-      Staged += S;
-      Cancelled += C;
-    }
-    double Ratio = Staged == 0 ? 0.0
-                               : static_cast<double>(Cancelled) /
-                                     static_cast<double>(Staged);
-    bool Meaningful = Staged >= Config.WasteMinStaged;
-    SloStatus Cand = Meaningful && Ratio >= Config.WasteCriticalRatio
-                         ? SloStatus::Red
-                     : Meaningful && Ratio >= Config.WasteWarnRatio
-                         ? SloStatus::Yellow
-                         : SloStatus::Green;
-    double Threshold = Cand == SloStatus::Red ? Config.WasteCriticalRatio
-                                              : Config.WasteWarnRatio;
-    I->transition(
-        static_cast<uint32_t>(HealthDetector::LookaheadWaste), Sample.Epoch,
-        Cand, Ratio, Threshold,
-        formatDetail("%" PRIu64 " of %" PRIu64
-                     " staged ranges cancelled in %u epochs",
-                     Cancelled, Staged, Config.WasteWindowEpochs),
         Out);
   }
 

@@ -13,9 +13,8 @@
 /// stream plus the migration commit stream and classifies each epoch as
 /// healthy, degraded, or broken — a slow-miss regression the EWMA+CUSUM
 /// change-point catches, a migration storm, ping-pong re-migration of the
-/// same chunks, wasted lookahead staging, an observability-overhead budget
-/// breach, or a stale placement that stopped adapting while the slow tier
-/// keeps missing.
+/// same chunks, an observability-overhead budget breach, or a stale
+/// placement that stopped adapting while the slow tier keeps missing.
 ///
 /// Detector verdicts surface three ways: severity-tagged events appended to
 /// an "atmem-health-v1" JSONL log (HealthLog), per-run SLO verdicts in the
@@ -55,12 +54,11 @@ enum class HealthDetector : uint8_t {
   SlowMissRegression = 0, ///< EWMA baseline + CUSUM on SlowMissFraction.
   MigrationStorm = 1,     ///< Ranges+retries+rollbacks spike over baseline.
   PingPong = 2,           ///< Same chunks re-migrating back and forth.
-  LookaheadWaste = 3,     ///< Cancelled/staged ratio too high.
-  OverheadBudget = 4,     ///< optimize() wall vs. iteration wall breach.
-  StalePlacement = 5,     ///< No migrations while slow-miss stays high.
+  OverheadBudget = 3,     ///< optimize() wall vs. iteration wall breach.
+  StalePlacement = 4,     ///< No migrations while slow-miss stays high.
 };
 
-constexpr uint32_t NumHealthDetectors = 6;
+constexpr uint32_t NumHealthDetectors = 5;
 
 /// Red/yellow/green verdict of one detector (and the per-run SLO).
 enum class SloStatus : uint8_t { Green = 0, Yellow = 1, Red = 2 };
@@ -81,7 +79,7 @@ struct HealthEvent {
   HealthDetector Detector = HealthDetector::SlowMissRegression;
   HealthSeverity Severity = HealthSeverity::Info;
   /// The detector's decision variable at the transition (CUSUM sum, spike
-  /// factor, flip count, waste ratio, overhead fraction, stale streak).
+  /// factor, flip count, overhead fraction, stale streak).
   double Value = 0.0;
   /// The threshold the decision variable crossed.
   double Threshold = 0.0;
@@ -127,16 +125,6 @@ struct HealthConfig {
   uint32_t PingPongCriticalFlips = 5;
   /// @}
 
-  /// \name LookaheadWaste
-  /// @{
-  /// Sliding window (epochs) the staged/cancelled sums cover.
-  uint32_t WasteWindowEpochs = 4;
-  /// Minimum staged ranges in the window before the ratio is meaningful.
-  uint64_t WasteMinStaged = 8;
-  double WasteWarnRatio = 0.5;
-  double WasteCriticalRatio = 0.9;
-  /// @}
-
   /// \name OverheadBudget (OptimizeWallUs vs. IterationWallUs)
   /// @{
   double OverheadWarnFraction = 0.5;
@@ -159,10 +147,9 @@ struct HealthConfig {
 /// snake_case field names: "ewma_alpha", "cusum_warn", "warmup_epochs",
 /// "storm_warn_factor", "storm_critical_factor", "storm_min_ranges",
 /// "pingpong_window", "pingpong_warn_flips", "pingpong_critical_flips",
-/// "waste_window", "waste_min_staged", "waste_warn_ratio",
-/// "waste_critical_ratio", "overhead_warn", "overhead_critical",
-/// "stale_warn_epochs", "stale_critical_epochs", "stale_slow_miss",
-/// "cusum_slack", "cusum_critical"). False (with \p Error) on an unknown
+/// "overhead_warn", "overhead_critical", "stale_warn_epochs",
+/// "stale_critical_epochs", "stale_slow_miss", "cusum_slack",
+/// "cusum_critical"). False (with \p Error) on an unknown
 /// knob or a malformed value; \p Out is then unchanged.
 bool parseHealthKnobs(const std::string &Spec, HealthConfig &Out,
                       std::string *Error = nullptr);

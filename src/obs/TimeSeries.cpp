@@ -125,11 +125,6 @@ std::string timeSeriesJsonl(const std::vector<EpochSample> &Samples) {
             S.MigrationBytes, S.MigrationRanges, S.Retries, S.Rollbacks);
     Out += ",\"migrate_sim_sec\":";
     appendDouble(Out, S.MigrateSimSec);
-    appendf(Out,
-            ",\"lookahead_staged\":%" PRIu64 ",\"lookahead_cancelled\":%" PRIu64,
-            S.LookaheadStaged, S.LookaheadCancelled);
-    Out += ",\"lookahead_overlap_sec\":";
-    appendDouble(Out, S.LookaheadOverlapSec);
     Out += ",\"fast_data_ratio\":";
     appendDouble(Out, S.FastDataRatio);
     Out += ",\"optimize_wall_us\":";
@@ -192,9 +187,6 @@ bool parseTimeSeriesJsonl(const std::string &Text,
     S.Retries = U64("retries");
     S.Rollbacks = U64("rollbacks");
     S.MigrateSimSec = Num("migrate_sim_sec");
-    S.LookaheadStaged = U64("lookahead_staged");
-    S.LookaheadCancelled = U64("lookahead_cancelled");
-    S.LookaheadOverlapSec = Num("lookahead_overlap_sec");
     S.FastDataRatio = Num("fast_data_ratio");
     S.OptimizeWallUs = Num("optimize_wall_us");
     S.IterationWallUs = Num("iteration_wall_us");
@@ -271,12 +263,6 @@ std::string timeSeriesOpenMetrics(const std::vector<EpochSample> &Samples,
              [&](const EpochSample &S) { return U(S.Rollbacks); });
   emitFamily(Out, "atmem_epoch_migrate_sim_sec", Samples, Run,
              [](const EpochSample &S) { return S.MigrateSimSec; });
-  emitFamily(Out, "atmem_epoch_lookahead_staged", Samples, Run,
-             [&](const EpochSample &S) { return U(S.LookaheadStaged); });
-  emitFamily(Out, "atmem_epoch_lookahead_cancelled", Samples, Run,
-             [&](const EpochSample &S) { return U(S.LookaheadCancelled); });
-  emitFamily(Out, "atmem_epoch_lookahead_overlap_sec", Samples, Run,
-             [](const EpochSample &S) { return S.LookaheadOverlapSec; });
   emitFamily(Out, "atmem_epoch_fast_data_ratio", Samples, Run,
              [](const EpochSample &S) { return S.FastDataRatio; });
   emitFamily(Out, "atmem_epoch_optimize_wall_us", Samples, Run,

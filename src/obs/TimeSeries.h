@@ -57,13 +57,6 @@ struct EpochSample {
   double MigrateSimSec = 0.0;
   /// @}
 
-  /// \name Lookahead scheduling
-  /// @{
-  uint64_t LookaheadStaged = 0;
-  uint64_t LookaheadCancelled = 0;
-  double LookaheadOverlapSec = 0.0;
-  /// @}
-
   /// Fraction of tracked bytes resident in the fast tier after the
   /// epoch's migrations.
   double FastDataRatio = 0.0;

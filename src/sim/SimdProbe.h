@@ -24,27 +24,16 @@
 #ifndef ATMEM_SIM_SIMDPROBE_H
 #define ATMEM_SIM_SIMDPROBE_H
 
-#include <cstddef>
 #include <cstdint>
 
 #if defined(__SSE2__)
-// immintrin.h (not just emmintrin.h) so the AVX2 gather path below can be
-// compiled per-function via __attribute__((target("avx2"))) and selected
-// at run time — the build's baseline ISA stays plain SSE2.
-#include <immintrin.h>
+#include <emmintrin.h>
 #define ATMEM_SIMD_PROBE 1
 #elif defined(__aarch64__) && defined(__ARM_NEON)
 #include <arm_neon.h>
 #define ATMEM_SIMD_PROBE 1
 #else
 #define ATMEM_SIMD_PROBE 0
-#endif
-
-#if defined(__SSE2__) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ATMEM_SIMD_GATHER 1
-#else
-#define ATMEM_SIMD_GATHER 0
 #endif
 
 namespace atmem {
@@ -96,109 +85,6 @@ inline int probeWay4(const uint64_t *Row, uint64_t Key) {
   return -1;
 #endif
 }
-
-/// \name Batched VPN / set-index derivation
-/// Out[I] = Vas[I] >> Shift over a whole miss batch. Every path computes
-/// the exact same shift; vectorizing just feeds the load/shift/store
-/// stream to the wide units so the batched drain can derive a block's
-/// VPNs up front instead of one at a time inside the replay loop. The
-/// scalar loop is the oracle the SIMD paths are fuzzed against.
-///@{
-inline void batchShiftRightScalar(const uint64_t *Vas, size_t N,
-                                  uint32_t Shift, uint64_t *Out) {
-  for (size_t I = 0; I < N; ++I)
-    Out[I] = Vas[I] >> Shift;
-}
-
-inline void batchShiftRight(const uint64_t *Vas, size_t N, uint32_t Shift,
-                            uint64_t *Out) {
-#if defined(__SSE2__)
-  __m128i Sh = _mm_cvtsi32_si128(static_cast<int>(Shift));
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m128i A = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Vas + I));
-    __m128i B =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Vas + I + 2));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I),
-                     _mm_srl_epi64(A, Sh));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I + 2),
-                     _mm_srl_epi64(B, Sh));
-  }
-  for (; I < N; ++I)
-    Out[I] = Vas[I] >> Shift;
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-  // NEON shifts right by left-shifting with a negative count.
-  int64x2_t Sh = vdupq_n_s64(-static_cast<int64_t>(Shift));
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    vst1q_u64(Out + I, vshlq_u64(vld1q_u64(Vas + I), Sh));
-  for (; I < N; ++I)
-    Out[I] = Vas[I] >> Shift;
-#else
-  batchShiftRightScalar(Vas, N, Shift, Out);
-#endif
-}
-///@}
-
-/// \name Gather probe over {Tag, Payload} slot pairs
-/// Batch form of the direct-mapped probe "Slots[Key & Mask].Tag == Key"
-/// over an array of 16-byte {Tag, Payload} u64 slots: Hit[I] is 1 iff
-/// the slot indexed by Keys[I] currently holds tag Keys[I]. The slot
-/// array is random-accessed (each probe is an independent, likely
-/// L1-missing load), which is exactly what a hardware gather overlaps;
-/// on AVX2 hosts the probes issue four at a time via vpgatherqq, chosen
-/// at run time so the build's baseline ISA stays SSE2. The scalar loop
-/// is both the fallback and the fuzz oracle.
-///@{
-inline void gatherProbeTagsScalar(const uint64_t *SlotPairs, uint64_t Mask,
-                                  const uint64_t *Keys, size_t N,
-                                  uint8_t *Hit) {
-  for (size_t I = 0; I < N; ++I)
-    Hit[I] = SlotPairs[(Keys[I] & Mask) * 2] == Keys[I] ? 1 : 0;
-}
-
-#if ATMEM_SIMD_GATHER
-__attribute__((target("avx2"))) inline void
-gatherProbeTagsAvx2(const uint64_t *SlotPairs, uint64_t Mask,
-                    const uint64_t *Keys, size_t N, uint8_t *Hit) {
-  const __m256i MaskV = _mm256_set1_epi64x(static_cast<long long>(Mask));
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i K =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Keys + I));
-    // Slot index -> u64 index: each slot is two u64s, tag first.
-    __m256i Idx = _mm256_slli_epi64(_mm256_and_si256(K, MaskV), 1);
-    __m256i Tags = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long *>(SlotPairs), Idx, 8);
-    unsigned EqMask = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(Tags, K))));
-    Hit[I + 0] = (EqMask >> 0) & 1;
-    Hit[I + 1] = (EqMask >> 1) & 1;
-    Hit[I + 2] = (EqMask >> 2) & 1;
-    Hit[I + 3] = (EqMask >> 3) & 1;
-  }
-  if (I < N)
-    gatherProbeTagsScalar(SlotPairs, Mask, Keys + I, N - I, Hit + I);
-}
-
-/// One-time cpuid check; safe to race (idempotent thread-safe static).
-inline bool gatherProbeHasAvx2() {
-  static const bool Avail = __builtin_cpu_supports("avx2");
-  return Avail;
-}
-#endif
-
-inline void gatherProbeTags(const uint64_t *SlotPairs, uint64_t Mask,
-                            const uint64_t *Keys, size_t N, uint8_t *Hit) {
-#if ATMEM_SIMD_GATHER
-  if (gatherProbeHasAvx2()) {
-    gatherProbeTagsAvx2(SlotPairs, Mask, Keys, N, Hit);
-    return;
-  }
-#endif
-  gatherProbeTagsScalar(SlotPairs, Mask, Keys, N, Hit);
-}
-///@}
 
 } // namespace sim
 } // namespace atmem

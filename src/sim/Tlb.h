@@ -115,19 +115,6 @@ public:
     return false;
   }
 
-  /// Prefetches the set row \p Vpn maps to. The batched drain issues
-  /// this for the next translation run's head while the current run is
-  /// still replaying, so the row's line is in flight before accessVpn()
-  /// needs it. No architectural effect — counters, LRU state, and
-  /// verdicts are untouched.
-  void prefetchVpn(uint64_t Vpn) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(Vpns.data() + static_cast<size_t>(setOf(Vpn)) * Ways);
-#else
-    (void)Vpn;
-#endif
-  }
-
   /// Invalidates the entry for the page containing \p Va, if present.
   void flushPage(uint64_t Va);
 

@@ -28,9 +28,7 @@
 #define ATMEM_SIM_TRANSLATIONCACHE_H
 
 #include "sim/PageTable.h"
-#include "sim/SimdProbe.h"
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,21 +97,6 @@ public:
   /// caller must have run revalidate() and keep the table quiescent.
   bool isCachedHuge(uint64_t HugeVpn) const {
     return HugeSlots[HugeVpn & Mask].Tag == HugeVpn;
-  }
-
-  /// Batch of isCachedHuge() probes: Out[I] = isCachedHuge(HugeVpns[I])
-  /// at call time, under the same quiescence contract. The probes are
-  /// independent random loads over the 64 KiB slot array, so issuing
-  /// them as one gather (AVX2 vpgatherqq where the host has it, the
-  /// scalar oracle loop elsewhere) overlaps their cache misses instead
-  /// of serializing them between TLB accesses. Read-only and
-  /// counter-free, like the single-probe form.
-  void probeHugeBatch(const uint64_t *HugeVpns, size_t N,
-                      uint8_t *Out) const {
-    static_assert(sizeof(Slot) == 16,
-                  "gather probe assumes {Tag, FrameAndTier} u64 pairs");
-    gatherProbeTags(reinterpret_cast<const uint64_t *>(HugeSlots.data()),
-                    Mask, HugeVpns, N, Out);
   }
 
   /// TLB-replay fast path: like translate() but yields only the page size

@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 
@@ -227,6 +228,72 @@ TEST_F(DecisionLogTest, ValidatorRejectsCorruption) {
   // The untouched original still validates.
   Artifact = readBack(Path);
   EXPECT_TRUE(validateDecisionLog(Artifact, &Error)) << Error;
+
+  // Crafted records that decode fine but would make the tools walk
+  // billions of chunks or misread an enum: each is emitted after a valid
+  // ObjectEpoch of a 16-chunk object.
+  auto craft = [&](const std::function<void()> &Emit) {
+    std::string CraftPath = tempPath("decision_crafted.atdl");
+    EXPECT_TRUE(Log.open(CraftPath));
+    Log.beginEpoch();
+    ObjectEpochRecord Obj16;
+    Obj16.Object = 1;
+    Obj16.NumChunks = 16;
+    Log.recordObject(Obj16);
+    Emit();
+    EXPECT_TRUE(Log.close());
+    return readBack(CraftPath);
+  };
+  auto event = [&](uint32_t FirstChunk, uint32_t NumChunks) {
+    MigrationEventRecord Event;
+    Event.Object = 1;
+    Event.FirstChunk = FirstChunk;
+    Event.NumChunks = NumChunks;
+    Event.TargetFast = 1;
+    Event.Phase = DecisionPhase::Committed;
+    return Event;
+  };
+  auto recordEvent = [&](MigrationEventRecord Event) {
+    return [&Log, Event] { Log.recordMigration(Event); };
+  };
+  // The harness itself produces valid logs: a whole-object range passes.
+  Artifact = craft(recordEvent(event(0, 16)));
+  EXPECT_TRUE(validateDecisionLog(Artifact, &Error)) << Error;
+
+  MigrationEventRecord Unknown = event(0, 1);
+  Unknown.Object = 2;
+  MigrationEventRecord BadPhase = event(0, 1);
+  BadPhase.Phase = static_cast<DecisionPhase>(200);
+  MigrationEventRecord Retired9 = event(0, 1);
+  Retired9.Phase = static_cast<DecisionPhase>(9);
+  MigrationEventRecord Retired10 = event(0, 1);
+  Retired10.Phase = static_cast<DecisionPhase>(10);
+  MigrationEventRecord BadTarget = event(0, 1);
+  BadTarget.TargetFast = 2;
+  ChunkDecisionRecord PastEnd;
+  PastEnd.Object = 1;
+  PastEnd.Chunk = 16;
+  ObjectEpochRecord BadWinner;
+  BadWinner.Object = 3;
+  BadWinner.NumChunks = 4;
+  BadWinner.Winner = static_cast<ThetaWinner>(3);
+  const std::pair<const char *, std::function<void()>> Crafted[] = {
+      {"range far past the object", recordEvent(event(0, 0xFFFFFFF0u))},
+      {"range one past the end", recordEvent(event(15, 2))},
+      {"range wrapping in 32 bits", recordEvent(event(0xFFFFFFF0u, 0x20))},
+      {"empty range", recordEvent(event(3, 0))},
+      {"event without an ObjectEpoch", recordEvent(Unknown)},
+      {"phase byte 200", recordEvent(BadPhase)},
+      {"retired phase 9", recordEvent(Retired9)},
+      {"retired phase 10", recordEvent(Retired10)},
+      {"target byte 2", recordEvent(BadTarget)},
+      {"chunk index past the object", [&] { Log.recordChunk(PastEnd); }},
+      {"theta winner 3", [&] { Log.recordObject(BadWinner); }},
+  };
+  for (const auto &[What, Emit] : Crafted) {
+    Artifact = craft(Emit);
+    EXPECT_FALSE(validateDecisionLog(Artifact, &Error)) << What;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -369,86 +369,6 @@ TEST_F(MigratorFaultTest, AddrspaceAllocFaultFailsTryCreateCleanly) {
   expectInvariants(Registry);
 }
 
-TEST_F(MigratorFaultTest, LookaheadStagingAllocFaultIsRetryableAndClean) {
-  DataObject &Obj = makeObject("obj", 8 << 20, 1 << 20);
-  uint64_t FastUsedBefore = M.allocator(TierId::Fast).usedBytes();
-  armOnce("lookahead.staging_alloc");
-
-  std::vector<StagedAheadRange> Out;
-  EXPECT_EQ(Atmem.stageAhead(Obj, {{0, 2}}, TierId::Fast, Out),
-            MigrationStatus::Retryable);
-  // Nothing staged, no fast-tier frames leaked, placement untouched.
-  EXPECT_TRUE(Out.empty());
-  EXPECT_EQ(M.allocator(TierId::Fast).usedBytes(), FastUsedBefore);
-  EXPECT_EQ(Obj.bytesOn(TierId::Fast), 0u);
-  EXPECT_TRUE(patternIntact(Obj));
-  fault::FaultRegistry::instance().disarmAll();
-  expectInvariants(Registry);
-
-  // The unfaulted retry stages, and the cancel path hands every staging
-  // frame back — a cancelled prefetch is a placement no-op end to end.
-  ASSERT_EQ(Atmem.stageAhead(Obj, {{0, 2}}, TierId::Fast, Out),
-            MigrationStatus::Success);
-  ASSERT_EQ(Out.size(), 1u);
-  EXPECT_GT(M.allocator(TierId::Fast).usedBytes(), FastUsedBefore);
-  Atmem.cancelStagedAhead(Obj, Out[0], TierId::Fast);
-  EXPECT_EQ(M.allocator(TierId::Fast).usedBytes(), FastUsedBefore);
-  EXPECT_EQ(Obj.bytesOn(TierId::Fast), 0u);
-  EXPECT_TRUE(patternIntact(Obj));
-  expectInvariants(Registry);
-}
-
-TEST_F(MigratorFaultTest, LookaheadCopyFaultBlocksCommitUntilRetried) {
-  DataObject &Obj = makeObject("obj", 8 << 20, 1 << 20);
-  std::vector<StagedAheadRange> Out;
-  ASSERT_EQ(Atmem.stageAhead(Obj, {{0, 2}}, TierId::Fast, Out),
-            MigrationStatus::Success);
-  ASSERT_EQ(Out.size(), 1u);
-
-  armOnce("lookahead.copy");
-  EXPECT_FALSE(Atmem.copyStagedAhead(Out[0], TierId::Fast));
-  // The failed overlap copy leaves the range uncommittable (CopyDone
-  // false is what the runtime's boundary resolution keys on) but fully
-  // staged: the unfaulted retry completes it.
-  EXPECT_FALSE(Out[0].CopyDone);
-  EXPECT_TRUE(patternIntact(Obj));
-  fault::FaultRegistry::instance().disarmAll();
-
-  EXPECT_TRUE(Atmem.copyStagedAhead(Out[0], TierId::Fast));
-  EXPECT_TRUE(Out[0].CopyDone);
-  MigrationResult Result;
-  EXPECT_EQ(Atmem.commitStagedAhead(Obj, Out[0], TierId::Fast, Result),
-            MigrationStatus::Success);
-  EXPECT_EQ(Obj.chunkTier(0), TierId::Fast);
-  EXPECT_EQ(Obj.chunkTier(1), TierId::Fast);
-  EXPECT_TRUE(patternIntact(Obj));
-  expectInvariants(Registry);
-}
-
-TEST_F(MigratorFaultTest, StagedAheadCommitRemapFaultCancelsPrefetch) {
-  DataObject &Obj = makeObject("obj", 8 << 20, 1 << 20);
-  uint64_t FastUsedBefore = M.allocator(TierId::Fast).usedBytes();
-  std::vector<StagedAheadRange> Out;
-  ASSERT_EQ(Atmem.stageAhead(Obj, {{0, 2}}, TierId::Fast, Out),
-            MigrationStatus::Success);
-  ASSERT_EQ(Out.size(), 1u);
-  ASSERT_TRUE(Atmem.copyStagedAhead(Out[0], TierId::Fast));
-
-  armOnce("migrator.remap");
-  MigrationResult Result;
-  EXPECT_EQ(Atmem.commitStagedAhead(Obj, Out[0], TierId::Fast, Result),
-            MigrationStatus::Retryable);
-  // The failed commit released the staging buffer and left the source
-  // mapping untouched — the prefetch evaporated, placement is exactly the
-  // no-lookahead state.
-  EXPECT_EQ(Result.BytesMoved, 0u);
-  EXPECT_EQ(M.allocator(TierId::Fast).usedBytes(), FastUsedBefore);
-  EXPECT_EQ(Obj.bytesOn(TierId::Fast), 0u);
-  EXPECT_TRUE(patternIntact(Obj));
-  fault::FaultRegistry::instance().disarmAll();
-  expectInvariants(Registry);
-}
-
 TEST_F(FaultTest, ThreadPoolSpawnFaultDegradesToInlineExecution) {
   fault::FaultPlan Plan;
   Plan.Mode = fault::Trigger::EveryKth;
@@ -584,44 +504,6 @@ TEST_F(RuntimeFaultTest, PersistentFaultSkipsThenRenominates) {
   EXPECT_TRUE(Rt.skippedChunks().empty());
   EXPECT_GT(Rt.registry().object(Hot.objectId()).bytesOn(TierId::Fast), 0u);
   expectInvariants(Rt.registry());
-}
-
-TEST_F(RuntimeFaultTest, TopologyProbeFaultDegradesToSingleNode) {
-  // An injected topology-probe failure must yield the single-node layout
-  // (the pre-topology behaviour), count the fire, and leave placement
-  // results identical to an unfaulted runtime.
-  fault::FaultPlan Plan;
-  Plan.Mode = fault::Trigger::EveryKth;
-  Plan.N = 1;
-  fault::FaultRegistry::instance().arm("drain.topology_probe", Plan);
-  core::RuntimeConfig Config = testConfig();
-  Config.SimThreads = 2;
-  core::Runtime Faulted(Config);
-  fault::FaultRegistry::instance().disarmAll();
-
-  EXPECT_GE(
-      fault::FaultRegistry::instance().fires("drain.topology_probe"), 1u);
-  EXPECT_EQ(Faulted.topology().numNodes(), 1u);
-  EXPECT_FALSE(Faulted.topology().multiNode());
-  EXPECT_GE(Faulted.hostThreads(), 1u);
-  // Every shard homes on the lone node.
-  for (uint32_t T = 0; T < Faulted.simThreads(); ++T)
-    EXPECT_EQ(Faulted.simContext(T).homeNode(), 0u);
-
-  // Topology is a locality hint, never a correctness input: a faulted
-  // runtime and an unfaulted one place the same workload identically.
-  core::Runtime Clean(Config);
-  auto HotF = Faulted.allocate<uint64_t>("hot", 1 << 17);
-  auto HotC = Clean.allocate<uint64_t>("hot", 1 << 17);
-  profiledHotIteration(Faulted, HotF);
-  profiledHotIteration(Clean, HotC);
-  MigrationResult RF = Faulted.optimize();
-  MigrationResult RC = Clean.optimize();
-  EXPECT_EQ(RF.BytesMoved, RC.BytesMoved);
-  EXPECT_EQ(
-      Faulted.registry().object(HotF.objectId()).bytesOn(TierId::Fast),
-      Clean.registry().object(HotC.objectId()).bytesOn(TierId::Fast));
-  expectInvariants(Faulted.registry());
 }
 
 TEST_F(RuntimeFaultTest, UnfaultedOptimizeUnaffectedByFrameworkPresence) {

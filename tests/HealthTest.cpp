@@ -107,8 +107,7 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   std::string Error;
   ASSERT_TRUE(parseHealthKnobs(
       "ewma_alpha=0.5,cusum_warn=0.2,warmup_epochs=4,storm_min_ranges=16,"
-      "pingpong_window=8,waste_warn_ratio=0.25,overhead_critical=2.0,"
-      "stale_slow_miss=0.75",
+      "pingpong_window=8,overhead_critical=2.0,stale_slow_miss=0.75",
       Cfg, &Error))
       << Error;
   EXPECT_DOUBLE_EQ(Cfg.EwmaAlpha, 0.5);
@@ -116,7 +115,6 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   EXPECT_EQ(Cfg.WarmupEpochs, 4u);
   EXPECT_EQ(Cfg.StormMinRanges, 16u);
   EXPECT_EQ(Cfg.PingPongWindowEpochs, 8u);
-  EXPECT_DOUBLE_EQ(Cfg.WasteWarnRatio, 0.25);
   EXPECT_DOUBLE_EQ(Cfg.OverheadCriticalFraction, 2.0);
   EXPECT_DOUBLE_EQ(Cfg.StaleSlowMissFraction, 0.75);
   // Untouched knobs keep their defaults.
@@ -130,6 +128,9 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   HealthConfig Before = Cfg;
   EXPECT_FALSE(parseHealthKnobs("no_such_knob=1", Cfg, &Error));
   EXPECT_NE(Error.find("no_such_knob"), std::string::npos);
+  // Knobs of retired detectors are unknown too.
+  EXPECT_FALSE(parseHealthKnobs("waste_window=4", Cfg, &Error));
+  EXPECT_NE(Error.find("waste_window"), std::string::npos);
   EXPECT_DOUBLE_EQ(Cfg.EwmaAlpha, Before.EwmaAlpha);
   EXPECT_FALSE(parseHealthKnobs("ewma_alpha=abc", Cfg, &Error));
   EXPECT_FALSE(parseHealthKnobs("ewma_alpha", Cfg, &Error));
@@ -305,35 +306,6 @@ TEST_F(HealthTest, PingPongCountsDirectionFlipsInWindow) {
   expectEvent(All[2], 5, HealthDetector::PingPong, HealthSeverity::Warn);
   EXPECT_EQ(All[2].Detail.rfind("easing: ", 0), 0u);
   expectEvent(All[3], 6, HealthDetector::PingPong, HealthSeverity::Info);
-}
-
-TEST_F(HealthTest, LookaheadWasteJudgesWindowRatio) {
-  HealthMonitor Mon;
-  std::vector<HealthEvent> All;
-  auto Feed = [&](uint64_t Epoch, uint64_t Staged, uint64_t Cancelled) {
-    EpochSample S = quietSample(Epoch);
-    S.LookaheadStaged = Staged;
-    S.LookaheadCancelled = Cancelled;
-    for (HealthEvent &E : Mon.observeEpoch(S))
-      All.push_back(std::move(E));
-  };
-  Feed(1, 10, 0);  // ratio 0 -> green
-  Feed(2, 10, 16); // 16/20 = 0.8 -> warn
-  Feed(3, 0, 20);  // 36/20 = 1.8 -> critical
-  Feed(4, 0, 0);   // window still saturated -> red, no event
-  Feed(5, 0, 0);
-  Feed(6, 0, 0);   // staging fell out of the window -> recovered
-
-  ASSERT_EQ(All.size(), 3u);
-  expectEvent(All[0], 2, HealthDetector::LookaheadWaste, HealthSeverity::Warn);
-  EXPECT_NEAR(All[0].Value, 0.8, 1e-9);
-  expectEvent(All[1], 3, HealthDetector::LookaheadWaste,
-              HealthSeverity::Critical);
-  EXPECT_NEAR(All[1].Value, 1.8, 1e-9);
-  EXPECT_NE(All[1].Detail.find("36 of 20 staged ranges cancelled"),
-            std::string::npos)
-      << All[1].Detail;
-  expectEvent(All[2], 6, HealthDetector::LookaheadWaste, HealthSeverity::Info);
 }
 
 TEST_F(HealthTest, OverheadBudgetComparesOptimizeToIterationWall) {
@@ -835,6 +807,43 @@ TEST_F(HealthTest, DoctorReportsHealthyStreamAsExitZero) {
   EXPECT_EQ(runTool(std::string(ATMEM_DOCTOR_PATH) + " --timeseries " +
                     TsPath + " --health-knobs no_such=1"),
             2);
+}
+
+TEST_F(HealthTest, DoctorRejectsHostileDecisionLog) {
+  // A committed range of 0xFFFFFFF0 chunks on a 16-chunk object would
+  // have the ping-pong replay walk billions of chunks; the doctor
+  // validates the log it loads and refuses it as invalid input.
+  std::string TsPath = tempPath("doctor_hostile.timeseries.jsonl");
+  std::string LogPath = tempPath("doctor_hostile.atdl");
+  writeFile(TsPath, timeSeriesJsonl({quietSample(1)}));
+  auto writeLog = [&](uint32_t NumChunks) {
+    DecisionLog &Log = DecisionLog::instance();
+    ASSERT_TRUE(Log.open(LogPath));
+    Log.beginEpoch();
+    ObjectEpochRecord Obj;
+    Obj.Object = 1;
+    Obj.NameId = Log.nameId("arr");
+    Obj.NumChunks = 16;
+    Log.recordObject(Obj);
+    MigrationEventRecord M;
+    M.Object = 1;
+    M.NumChunks = NumChunks;
+    M.TargetFast = 1;
+    M.Phase = DecisionPhase::Committed;
+    Log.recordMigration(M);
+    ASSERT_TRUE(Log.close());
+  };
+  std::string Command = std::string(ATMEM_DOCTOR_PATH) + " --timeseries " +
+                        TsPath + " --decision-log " + LogPath;
+  writeLog(0xFFFFFFF0u);
+  EXPECT_EQ(runTool(Command), 1);
+
+  // A log whose only defect is a lost trailer (4-byte length, kind byte,
+  // 8-byte count) is still triaged.
+  writeLog(16);
+  std::string Bytes = readFile(LogPath);
+  writeFile(LogPath, Bytes.substr(0, Bytes.size() - 13));
+  EXPECT_EQ(runTool(Command), 0);
 }
 
 #endif // ATMEM_DOCTOR_PATH

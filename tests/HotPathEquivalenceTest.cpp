@@ -17,7 +17,6 @@
 #include "sim/Tlb.h"
 #include "sim/TranslationCache.h"
 #include "support/Prng.h"
-#include "support/Topology.h"
 
 #include <gtest/gtest.h>
 
@@ -718,21 +717,6 @@ TEST(HotPathTranslationCacheTest, IsCachedHugeAgreesWithPageTable) {
   };
 
   CheckSweep(3);
-  // The batched replay derives its huge-hint vector with probeHugeBatch;
-  // every lane must agree with a scalar isCachedHuge probe of the same
-  // VPN, including strays far past the mapping (cold slots).
-  {
-    Xoshiro256 BatchRng(55);
-    std::vector<uint64_t> Vpns;
-    for (int I = 0; I < 4096; ++I) {
-      uint64_t Va = Obj.va() + BatchRng.nextBounded(Obj.mappedBytes() * 2);
-      Vpns.push_back(Va >> 21);
-    }
-    std::vector<uint8_t> Hits(Vpns.size());
-    Cache.probeHugeBatch(Vpns.data(), Vpns.size(), Hits.data());
-    for (size_t I = 0; I < Vpns.size(); ++I)
-      ASSERT_EQ(Hits[I] != 0, Cache.isCachedHuge(Vpns[I])) << "lane " << I;
-  }
   // Split pages out of the huge mapping (mbind-style single-page moves),
   // then rebuild huge pages with a full-range remap; every mutation bumps
   // the epoch, and translate()'s revalidation must keep the one-load
@@ -807,67 +791,18 @@ TEST(HotPathProfilerTest, AdvanceSelectionMatchesScanAcrossRandomSplits) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched SIMD primitives vs their scalar oracles.
+// Sharded drain matrix: the sharded batched pipeline vs the reference
+// drain across shard counts and host widths — identical injected miss
+// streams, bit-identical everything.
 //===----------------------------------------------------------------------===//
 
-TEST(HotPathSimdProbeTest, BatchShiftRightMatchesScalar) {
-  Xoshiro256 Rng(41);
-  for (int Trial = 0; Trial < 500; ++Trial) {
-    size_t N = Rng.nextBounded(260); // covers 0, tails, and full vectors
-    uint32_t Shift =
-        Trial % 3 == 0 ? 21 : (Trial % 3 == 1 ? 12 : 1 + Rng.nextBounded(63));
-    std::vector<uint64_t> Vas(N);
-    for (uint64_t &V : Vas)
-      V = Rng.next();
-    std::vector<uint64_t> Ref(N, ~0ull), Got(N, 0);
-    sim::batchShiftRightScalar(Vas.data(), N, Shift, Ref.data());
-    sim::batchShiftRight(Vas.data(), N, Shift, Got.data());
-    ASSERT_EQ(Ref, Got) << "trial " << Trial << " shift " << Shift;
-  }
-}
-
-TEST(HotPathSimdProbeTest, GatherProbeTagsMatchesScalar) {
-  Xoshiro256 Rng(43);
-  for (int Trial = 0; Trial < 300; ++Trial) {
-    // Direct-mapped {Tag, Payload} slot arrays from 2 to 512 entries.
-    size_t Slots = size_t{1} << (1 + Rng.nextBounded(9));
-    uint64_t Mask = Slots - 1;
-    std::vector<uint64_t> Pairs(Slots * 2);
-    for (size_t S = 0; S < Slots; ++S) {
-      // Tags stored at their own index (as translate() maintains), with
-      // ~0 empty-slot sentinels; payloads are noise the probe must skip.
-      Pairs[2 * S] = Rng.nextBounded(4) == 0
-                         ? ~0ull
-                         : S + Slots * Rng.nextBounded(1u << 20);
-      Pairs[2 * S + 1] = Rng.next();
-    }
-    size_t N = Rng.nextBounded(130);
-    std::vector<uint64_t> Keys(N);
-    for (uint64_t &K : Keys)
-      K = Rng.nextBounded(2) ? Pairs[2 * Rng.nextBounded(Slots)] // planted
-                             : Rng.nextBounded(Slots << 20);     // random
-    std::vector<uint8_t> Ref(N, 2), Got(N, 3);
-    sim::gatherProbeTagsScalar(Pairs.data(), Mask, Keys.data(), N, Ref.data());
-    sim::gatherProbeTags(Pairs.data(), Mask, Keys.data(), N, Got.data());
-    ASSERT_EQ(Ref, Got) << "trial " << Trial << " slots " << Slots;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Sharded drain matrix: the topology-sharded batched pipeline vs the
-// reference drain across shard counts, host widths, and (mocked) NUMA
-// layouts — identical injected miss streams, bit-identical everything.
-//===----------------------------------------------------------------------===//
-
-/// Drains \p Iterations injected per-shard miss streams through a batched
-/// runtime configured with \p Topo / \p HostThreads (thresholds forced to
-/// 1 so every parallel and overlapped path runs even for small batches)
-/// and through the reference per-miss runtime, then asserts bit-identical
-/// iteration stats, TLB counters, profiles, and miss-trace bytes.
-void runShardedDrainCase(uint32_t SimThreads,
-                         std::shared_ptr<const support::Topology> Topo,
-                         uint32_t HostThreads, const std::string &Tag,
-                         uint64_t GatherMinBytes = 0) {
+/// Drains injected per-shard miss streams through a batched runtime
+/// configured with \p HostThreads (thresholds forced to 1 so every
+/// parallel and overlapped path runs even for small batches) and through
+/// the reference per-miss runtime, then asserts bit-identical iteration
+/// stats, TLB counters, profiles, and miss-trace bytes.
+void runShardedDrainCase(uint32_t SimThreads, uint32_t HostThreads,
+                         const std::string &Tag) {
   SCOPED_TRACE(Tag);
   core::RuntimeConfig RefCfg;
   RefCfg.Machine = smallCacheTestbed();
@@ -877,14 +812,9 @@ void runShardedDrainCase(uint32_t SimThreads,
 
   core::RuntimeConfig OptCfg = RefCfg;
   OptCfg.BatchedDrain = true;
-  OptCfg.TopologyOverride = std::move(Topo);
   OptCfg.HostThreadsOverride = HostThreads;
   OptCfg.ParallelSelectionThreshold = 1;
   OptCfg.ParallelAttributionThreshold = 1;
-  // 0 forces the gather-pipelined stage-4 replay even for these small
-  // mapped sets; the matrix also pins ~0 (scalar run-skip loop) so both
-  // sides of the adaptive gate face the reference oracle.
-  OptCfg.GatherReplayMinMappedBytes = GatherMinBytes;
 
   core::Runtime Ref(RefCfg);
   core::Runtime Opt(OptCfg);
@@ -972,26 +902,12 @@ void runShardedDrainCase(uint32_t SimThreads,
 }
 
 TEST(HotPathShardedDrainTest, MatrixMatchesReferenceDrain) {
-  auto Single = std::make_shared<support::Topology>(
-      support::Topology::singleNode(4));
-  auto Multi = std::make_shared<support::Topology>(
-      support::Topology::fromNodeCpus({{0, 1}, {2, 3}}));
-  // Asymmetric layout: node 0 narrower than node 1, cpu ids with a hole —
-  // shard→node block distribution must still be total and stable.
-  auto Asym = std::make_shared<support::Topology>(
-      support::Topology::fromNodeCpus({{0}, {2, 3}}));
   for (uint32_t SimThreads : {1u, 2u, 4u, 8u}) {
     std::string S = std::to_string(SimThreads);
-    runShardedDrainCase(SimThreads, Single, 4, "t" + S + "_single4");
-    runShardedDrainCase(SimThreads, Multi, 4, "t" + S + "_multi4");
-    runShardedDrainCase(SimThreads, Asym, 4, "t" + S + "_asym4");
+    runShardedDrainCase(SimThreads, 4, "t" + S + "_host4");
     // Single-core host: every parallel gate stays off; the sharded
     // runtime must degrade to exactly the serial batched pipeline.
-    runShardedDrainCase(SimThreads, Single, 1, "t" + S + "_host1");
-    // Small-working-set side of the adaptive stage-4 gate: the scalar
-    // run-skip replay loop, still against the same reference oracle.
-    runShardedDrainCase(SimThreads, Multi, 4, "t" + S + "_scalar_replay",
-                        ~0ull);
+    runShardedDrainCase(SimThreads, 1, "t" + S + "_host1");
   }
 }
 

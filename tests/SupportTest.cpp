@@ -9,7 +9,6 @@
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
-#include "support/Topology.h"
 
 #include <gtest/gtest.h>
 
@@ -368,118 +367,4 @@ TEST(LoggingTest, LevelRoundTrip) {
   setLogLevel(LogLevel::Debug);
   EXPECT_EQ(logLevel(), LogLevel::Debug);
   setLogLevel(Saved);
-}
-
-//===----------------------------------------------------------------------===//
-// Topology
-//===----------------------------------------------------------------------===//
-
-TEST(TopologyTest, ParseCpuListHandlesSysfsShapes) {
-  std::vector<int> Cpus;
-  ASSERT_TRUE(support::Topology::parseCpuList("0-3", Cpus));
-  EXPECT_EQ(Cpus, (std::vector<int>{0, 1, 2, 3}));
-  ASSERT_TRUE(support::Topology::parseCpuList("0-3,8,10-11", Cpus));
-  EXPECT_EQ(Cpus, (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-  ASSERT_TRUE(support::Topology::parseCpuList("5", Cpus));
-  EXPECT_EQ(Cpus, (std::vector<int>{5}));
-  // Offline nodes legitimately publish an empty cpulist.
-  ASSERT_TRUE(support::Topology::parseCpuList("", Cpus));
-  EXPECT_TRUE(Cpus.empty());
-  // Overlapping ranges deduplicate, unordered input sorts.
-  ASSERT_TRUE(support::Topology::parseCpuList("4,1-2,2-5", Cpus));
-  EXPECT_EQ(Cpus, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST(TopologyTest, ParseCpuListRejectsMalformedInput) {
-  std::vector<int> Cpus;
-  EXPECT_FALSE(support::Topology::parseCpuList("a", Cpus));
-  EXPECT_FALSE(support::Topology::parseCpuList("1-", Cpus));
-  EXPECT_FALSE(support::Topology::parseCpuList("3-1", Cpus));
-  EXPECT_FALSE(support::Topology::parseCpuList("1,,2", Cpus));
-  EXPECT_FALSE(support::Topology::parseCpuList("1,2,", Cpus));
-  EXPECT_FALSE(support::Topology::parseCpuList("-3", Cpus));
-  EXPECT_FALSE(support::Topology::parseCpuList("1 2", Cpus));
-  // Implausibly large cpu ids are rejected rather than overflowed.
-  EXPECT_FALSE(support::Topology::parseCpuList("99999999999", Cpus));
-}
-
-TEST(TopologyTest, SingleNodeOwnsEveryHardwareThread) {
-  support::Topology T = support::Topology::singleNode(6);
-  EXPECT_EQ(T.numNodes(), 1u);
-  EXPECT_FALSE(T.multiNode());
-  EXPECT_EQ(T.hardwareThreads(), 6u);
-  EXPECT_EQ(T.nodeCpus(0).size(), 6u);
-  EXPECT_TRUE(T.nodeCpus(1).empty()) << "out-of-range node must be empty";
-  for (int C = 0; C < 6; ++C)
-    EXPECT_EQ(T.nodeOfCpu(C), 0u);
-  // Every shard of every total lands on the only node.
-  for (uint32_t S = 0; S < 8; ++S)
-    EXPECT_EQ(T.nodeOfShard(S, 8), 0u);
-}
-
-TEST(TopologyTest, DefaultConstructedIsMinimalSingleNode) {
-  support::Topology T;
-  EXPECT_EQ(T.numNodes(), 1u);
-  EXPECT_FALSE(T.multiNode());
-  EXPECT_GE(T.hardwareThreads(), 1u);
-  EXPECT_EQ(T.nodeOfShard(3, 4), 0u);
-}
-
-TEST(TopologyTest, FromNodeCpusMapsCpusAndShards) {
-  support::Topology T =
-      support::Topology::fromNodeCpus({{0, 1}, {2, 3}, {4, 5}});
-  EXPECT_EQ(T.numNodes(), 3u);
-  EXPECT_TRUE(T.multiNode());
-  EXPECT_EQ(T.nodeOfCpu(0), 0u);
-  EXPECT_EQ(T.nodeOfCpu(3), 1u);
-  EXPECT_EQ(T.nodeOfCpu(5), 2u);
-  // Unknown cpus (hotplug holes, -1 from sched_getcpu) map to node 0.
-  EXPECT_EQ(T.nodeOfCpu(-1), 0u);
-  EXPECT_EQ(T.nodeOfCpu(99), 0u);
-  // Block distribution: 6 shards over 3 nodes = 2 per node, in order.
-  EXPECT_EQ(T.nodeOfShard(0, 6), 0u);
-  EXPECT_EQ(T.nodeOfShard(1, 6), 0u);
-  EXPECT_EQ(T.nodeOfShard(2, 6), 1u);
-  EXPECT_EQ(T.nodeOfShard(3, 6), 1u);
-  EXPECT_EQ(T.nodeOfShard(4, 6), 2u);
-  EXPECT_EQ(T.nodeOfShard(5, 6), 2u);
-  // Fewer shards than nodes still produces a total mapping, and
-  // out-of-range shard ids clamp instead of reading past the node list.
-  EXPECT_EQ(T.nodeOfShard(0, 2), 0u);
-  EXPECT_LT(T.nodeOfShard(1, 2), 3u);
-  EXPECT_LT(T.nodeOfShard(9, 2), 3u);
-  EXPECT_EQ(T.nodeOfShard(0, 0), 0u);
-}
-
-TEST(TopologyTest, FromNodeCpusDropsMemoryOnlyNodesAndDegrades) {
-  // Memory-only nodes (empty cpulist) get no shards; a layout that is
-  // nothing but memory-only nodes degrades to single-node.
-  support::Topology T = support::Topology::fromNodeCpus({{}, {0, 1}, {}});
-  EXPECT_EQ(T.numNodes(), 1u);
-  EXPECT_EQ(T.nodeCpus(0), (std::vector<int>{0, 1}));
-  support::Topology Degraded = support::Topology::fromNodeCpus({{}, {}});
-  EXPECT_EQ(Degraded.numNodes(), 1u);
-  EXPECT_GE(Degraded.nodeCpus(0).size(), 1u);
-}
-
-TEST(TopologyTest, DetectSmokeProducesUsableLayout) {
-  // Whatever this host looks like, the probe must yield a total layout:
-  // at least one node, every node non-empty, hardwareThreads >= 1.
-  bool Ok = true;
-  support::Topology T = support::Topology::detect(&Ok);
-  EXPECT_GE(T.numNodes(), 1u);
-  EXPECT_GE(T.hardwareThreads(), 1u);
-  for (uint32_t N = 0; N < T.numNodes(); ++N)
-    EXPECT_FALSE(T.nodeCpus(N).empty()) << "node " << N;
-  for (uint32_t S = 0; S < 16; ++S)
-    EXPECT_LT(T.nodeOfShard(S, 16), T.numNodes());
-}
-
-TEST(TopologyTest, PinToNonexistentCpusFailsWithoutSideEffects) {
-  // Mocked layouts may name cpus the host lacks; pinning is best-effort
-  // and must simply report failure.
-  EXPECT_FALSE(support::pinThreadToCpus({}));
-  EXPECT_FALSE(support::pinThreadToCpus({-1}));
-  // currentCpu is either unavailable (-1) or a real cpu id.
-  EXPECT_GE(support::currentCpu(), -1);
 }

@@ -57,9 +57,6 @@ EpochSample sampleOne() {
   S.Retries = 1;
   S.Rollbacks = 0;
   S.MigrateSimSec = 0.0125;
-  S.LookaheadStaged = 2;
-  S.LookaheadCancelled = 1;
-  S.LookaheadOverlapSec = 0.5;
   S.FastDataRatio = 0.25;
   S.OptimizeWallUs = 842.0;
   return S;
@@ -148,9 +145,6 @@ TEST_F(TimeSeriesTest, JsonlEveryLineParsesAndFieldsRoundTrip) {
   EXPECT_EQ(number(Doc, "retries"), 1.0);
   EXPECT_EQ(number(Doc, "rollbacks"), 0.0);
   EXPECT_DOUBLE_EQ(number(Doc, "migrate_sim_sec"), 0.0125);
-  EXPECT_EQ(number(Doc, "lookahead_staged"), 2.0);
-  EXPECT_EQ(number(Doc, "lookahead_cancelled"), 1.0);
-  EXPECT_DOUBLE_EQ(number(Doc, "lookahead_overlap_sec"), 0.5);
   EXPECT_DOUBLE_EQ(number(Doc, "fast_data_ratio"), 0.25);
   EXPECT_DOUBLE_EQ(number(Doc, "optimize_wall_us"), 842.0);
 
@@ -249,14 +243,20 @@ TEST_F(TimeSeriesTest, IterationWallUsSerializesAndDefaultsWhenAbsent) {
   ASSERT_EQ(Parsed.size(), 1u);
   EXPECT_DOUBLE_EQ(Parsed[0].IterationWallUs, 1234.5);
 
-  // Logs written before the field existed still load, defaulting to 0.
-  std::string Old = "{\"schema\":\"atmem-timeseries-v1\",\"epochs\":1}\n"
-                    "{\"epoch\":1,\"accesses\":10}\n";
+  // Logs written before the field existed still load, defaulting to 0,
+  // and the retired lookahead_* keys of older logs are ignored.
+  std::string Old = "{\"schema\":\"atmem-timeseries-v1\",\"epochs\":2}\n"
+                    "{\"epoch\":1,\"accesses\":10}\n"
+                    "{\"epoch\":2,\"accesses\":20,\"lookahead_staged\":3,"
+                    "\"lookahead_cancelled\":1,\"lookahead_overlap_sec\":0.5,"
+                    "\"fast_data_ratio\":0.25}\n";
   Parsed.clear();
   ASSERT_TRUE(parseTimeSeriesJsonl(Old, Parsed, &Error)) << Error;
-  ASSERT_EQ(Parsed.size(), 1u);
+  ASSERT_EQ(Parsed.size(), 2u);
   EXPECT_DOUBLE_EQ(Parsed[0].IterationWallUs, 0.0);
   EXPECT_EQ(Parsed[0].Accesses, 10u);
+  EXPECT_EQ(Parsed[1].Accesses, 20u);
+  EXPECT_DOUBLE_EQ(Parsed[1].FastDataRatio, 0.25);
 }
 
 TEST_F(TimeSeriesTest, ParseRejectsMissingHeaderAndBadLines) {

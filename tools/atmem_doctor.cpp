@@ -154,8 +154,8 @@ void attachWhyChain(Finding &F, const obs::DecisionArtifact &Artifact,
 /// Decision-log-only replay: no time series means no miss-rate or wall
 /// clock, so synthesize per-epoch samples carrying only the migration
 /// lifecycle counts the storm and ping-pong detectors consume (the
-/// regression/waste/overhead/stale detectors stay quiet — documented
-/// limitation of this mode).
+/// regression/overhead/stale detectors stay quiet — documented limitation
+/// of this mode).
 std::vector<obs::EpochSample>
 samplesFromArtifact(const obs::DecisionArtifact &Artifact) {
   std::map<uint64_t, obs::EpochSample> ByEpoch;
@@ -173,12 +173,6 @@ samplesFromArtifact(const obs::DecisionArtifact &Artifact) {
       break;
     case obs::DecisionPhase::RolledBack:
       ++S.Rollbacks;
-      break;
-    case obs::DecisionPhase::StagedAhead:
-      ++S.LookaheadStaged;
-      break;
-    case obs::DecisionPhase::PrefetchCancelled:
-      ++S.LookaheadCancelled;
       break;
     default:
       break;
@@ -236,9 +230,9 @@ int main(int Argc, const char **Argv) {
   OptionParser Parser(
       "atmem_doctor: post-hoc placement-health triage. Replays the "
       "runtime's streaming anomaly detectors (slow-miss regression, "
-      "migration storm, ping-pong, lookahead waste, overhead budget, "
-      "stale placement) over recorded artifacts and cross-links findings "
-      "to decision-log why-chains.\n"
+      "migration storm, ping-pong, overhead budget, stale placement) "
+      "over recorded artifacts and cross-links findings to decision-log "
+      "why-chains.\n"
       "Exit codes: 0 healthy, 4 warning findings, 5 critical findings, "
       "2 usage error, 1 unreadable or invalid input.");
   Parser.addString("timeseries", "",
@@ -296,6 +290,18 @@ int main(int Argc, const char **Argv) {
                                  &WasRing)) {
       std::fprintf(stderr, "error: decision log '%s': %s\n", LogPath.c_str(),
                    Error.c_str());
+      return ExitInvalid;
+    }
+    // A log whose only defect is a missing trailer (a producer killed
+    // between records) is still triaged; any record-level defect is not,
+    // because the replay trusts every chunk range it reads.
+    if (!Artifact.HasTrailer) {
+      Artifact.HasTrailer = true;
+      Artifact.TrailerCount = Artifact.Records.size();
+    }
+    if (!obs::validateDecisionLog(Artifact, &Error)) {
+      std::fprintf(stderr, "error: decision log '%s': invalid: %s\n",
+                   LogPath.c_str(), Error.c_str());
       return ExitInvalid;
     }
     HaveArtifact = true;
@@ -359,8 +365,8 @@ int main(int Argc, const char **Argv) {
   } else if (HaveArtifact) {
     // No time series: replay what the decision log alone can drive.
     Notes.push_back("no timeseries: replaying migration detectors only "
-                    "(miss-rate, waste-ratio, overhead and staleness "
-                    "signals need --timeseries)");
+                    "(miss-rate, overhead and staleness signals need "
+                    "--timeseries)");
     // The synthesized samples carry true process-wide log epochs, so a
     // base of 0 reports them 1:1.
     std::vector<obs::EpochSample> Samples = samplesFromArtifact(Artifact);

@@ -236,8 +236,7 @@ bool checkTimeSeries(const std::string &Path) {
       return Fail(I, "fast_data_ratio outside [0,1]");
     if (S.OptimizeWallUs < 0.0 || S.IterationWallUs < 0.0)
       return Fail(I, "negative wall-clock field");
-    if (S.DrainMissesPerSec < 0.0 || S.MigrateSimSec < 0.0 ||
-        S.LookaheadOverlapSec < 0.0)
+    if (S.DrainMissesPerSec < 0.0 || S.MigrateSimSec < 0.0)
       return Fail(I, "negative rate or duration field");
     if (S.MissesFast + S.MissesSlow > S.Accesses)
       return Fail(I, "tier misses exceed accesses");
