@@ -246,8 +246,7 @@ int main(int Argc, const char **Argv) {
               static_cast<double>(
                   Fresh.machine().allocator(sim::TierId::Fast).freeBytes()));
           auto Plan = Anal2.plan(Fresh.registry(), Exact2, Budget);
-          mem::ThreadPool Pool(8);
-          mem::AtmemMigrator Migrator(Fresh.registry(), Pool);
+          mem::AtmemMigrator Migrator(Fresh.registry());
           mem::MigrationResult Result;
           for (const auto &ObjPlan : Plan.Objects)
             Migrator.migrate(Fresh.registry().object(ObjPlan.Object),

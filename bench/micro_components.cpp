@@ -121,8 +121,7 @@ void BM_AtmemMigration(benchmark::State &State) {
     State.PauseTiming();
     sim::Machine M(sim::nvmDramTestbed(1.0 / 256));
     mem::DataObjectRegistry Registry(M);
-    mem::ThreadPool Pool(8);
-    mem::AtmemMigrator Migrator(Registry, Pool);
+    mem::AtmemMigrator Migrator(Registry);
     mem::DataObject &Obj =
         Registry.create("o", State.range(0), mem::InitialPlacement::Slow);
     State.ResumeTiming();

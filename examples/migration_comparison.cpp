@@ -45,8 +45,7 @@ struct Outcome {
 Outcome runMechanism(bool UseMbind, uint64_t ObjectBytes) {
   Machine M(nvmDramTestbed(1.0 / 256));
   DataObjectRegistry Registry(M);
-  ThreadPool Pool(8);
-  AtmemMigrator Atmem(Registry, Pool);
+  AtmemMigrator Atmem(Registry);
   MbindMigrator Mbind(Registry);
 
   DataObject &Obj =

@@ -3,7 +3,7 @@
 #include "apps/Kernels.h"
 #include "support/Error.h"
 
-#include <cstring>
+#include <algorithm>
 
 using namespace atmem;
 using namespace atmem::apps;
@@ -18,17 +18,17 @@ GraphArrays apps::registerGraph(core::Runtime &Rt, const graph::CsrGraph &G,
 
   bool WasTracking = Rt.trackingEnabled();
   Rt.setTrackingEnabled(false);
+  // std::copy, not memcpy: an edgeless graph's cols() is empty and its
+  // data() may be null, which memcpy must never be passed.
   Arrays.RowOffsets =
       Rt.allocate<uint64_t>("csr.row_offsets", G.rowOffsets().size());
-  std::memcpy(Arrays.RowOffsets.raw(), G.rowOffsets().data(),
-              G.rowOffsets().size() * sizeof(uint64_t));
+  std::copy(G.rowOffsets().begin(), G.rowOffsets().end(),
+            Arrays.RowOffsets.raw());
   Arrays.Cols = Rt.allocate<graph::VertexId>("csr.cols", G.cols().size());
-  std::memcpy(Arrays.Cols.raw(), G.cols().data(),
-              G.cols().size() * sizeof(graph::VertexId));
+  std::copy(G.cols().begin(), G.cols().end(), Arrays.Cols.raw());
   if (WithWeights && G.hasWeights()) {
     Arrays.Weights = Rt.allocate<uint32_t>("csr.weights", G.weights().size());
-    std::memcpy(Arrays.Weights.raw(), G.weights().data(),
-                G.weights().size() * sizeof(uint32_t));
+    std::copy(G.weights().begin(), G.weights().end(), Arrays.Weights.raw());
   }
   Rt.setTrackingEnabled(WasTracking);
   return Arrays;

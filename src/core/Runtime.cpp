@@ -11,13 +11,11 @@
 #include "support/Logging.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
-#include <thread>
 
 using namespace atmem;
 using namespace atmem::core;
@@ -191,13 +189,8 @@ void appendSlowRuns(const mem::DataObject &Obj, const mem::ChunkRange &Range,
 
 Runtime::Runtime(RuntimeConfig ConfigIn)
     : Config(std::move(ConfigIn)), M(Config.Machine), Registry(M),
-      Pool(Config.Machine.Migration.CopyThreads),
-      Profiler(Registry, Config.Profiler), AtmemMig(Registry, Pool),
+      Profiler(Registry, Config.Profiler), AtmemMig(Registry),
       MbindMig(Registry) {
-  // Read once per runtime, never per drain: every drain gate reuses it.
-  HostThreads = Config.HostThreadsOverride
-                    ? Config.HostThreadsOverride
-                    : std::max(1u, std::thread::hardware_concurrency());
   if (Config.SimThreads > 1) {
     // Each thread's shard models its partition of the shared LLC; never
     // shrink below one fully associative set.
@@ -936,113 +929,30 @@ void Runtime::drainReference() {
 }
 
 void Runtime::drainBatched() {
-  // Stage 1 — merge shard stats in thread-index order and pre-scan the
-  // buffers for samples. Sample *selection* depends only on the miss
-  // order (attribution never feeds back into it), so the buffers'
-  // concatenation order fully determines which misses are chosen.
+  // Stage 1 — merge shard stats and scan the buffers for samples, both in
+  // thread-index order. Sample *selection* depends only on the miss order
+  // (attribution never feeds back into it), so the buffers' concatenation
+  // order fully determines which misses are chosen.
   PendingScratch.clear();
-  size_t TotalMisses = 0;
   for (auto &Ctx : Contexts) {
     Stats += Ctx->stats();
     Ctx->stats() = sim::AccessStats();
-    TotalMisses += Ctx->missBuffer().size();
+    const std::vector<uint64_t> &Buf = Ctx->missBuffer();
+    Profiler.selectSamples(Buf.data(), Buf.size(), PendingScratch);
   }
 
-  // The countdown advance is associative over a buffer: the state after
-  // scanning N misses depends only on N (advanceSelection computes it in
-  // O(period doublings)). So each shard's start state is computed
-  // serially for pennies, the per-shard scans run concurrently on the
-  // kernel pool — each shard scanned by one worker — and the selections
-  // are spliced in thread-index order. Bit-identical to the serial scan by
-  // construction; small drains and single-core hosts keep the serial
-  // path.
-  bool ParallelSelect = Profiler.isActive() && KernelPool &&
-                        HostThreads > 1 && Contexts.size() > 1 &&
-                        TotalMisses >= Config.ParallelSelectionThreshold;
-  if (ParallelSelect) {
-    size_t NumShards = Contexts.size();
-    SelStateScratch.resize(NumShards);
-    SelScratch.resize(NumShards);
-    prof::SelectionState End = Profiler.selectionState();
-    for (size_t I = 0; I < NumShards; ++I) {
-      SelStateScratch[I] = End;
-      Profiler.advanceSelection(End, Contexts[I]->missBuffer().size());
-    }
-    KernelPool->parallelForThreaded(
-        0, NumShards, 1, [&](uint32_t, uint64_t Begin, uint64_t EndShard) {
-          for (uint64_t I = Begin; I < EndShard; ++I) {
-            SelScratch[I].clear();
-            const std::vector<uint64_t> &Buf = Contexts[I]->missBuffer();
-            Profiler.selectSamplesFrom(SelStateScratch[I], Buf.data(),
-                                       Buf.size(), SelScratch[I]);
-          }
-        });
-    // The last shard's scanned end state must land exactly on the
-    // arithmetic advance (fuzzed in the equivalence suite too).
-    assert(SelStateScratch.back() == End &&
-           "arithmetic selection advance diverged from the scan");
-    Profiler.commitSelectionState(End);
-    for (size_t I = 0; I < NumShards; ++I)
-      PendingScratch.insert(PendingScratch.end(), SelScratch[I].begin(),
-                            SelScratch[I].end());
-  } else {
-    for (auto &Ctx : Contexts) {
-      const std::vector<uint64_t> &Buf = Ctx->missBuffer();
-      Profiler.selectSamples(Buf.data(), Buf.size(), PendingScratch);
-    }
+  // Stages 2-3 — attribute each selected sample to (object, chunk) and
+  // commit it in selection order. Floating-point profile accumulation
+  // happens in exactly the per-miss order, keeping results bit-identical
+  // to the reference drain.
+  for (const prof::PendingSample &S : PendingScratch) {
+    mem::Attribution Attr;
+    bool Attributed = Registry.attributeIndexed(S.Va, Attr, SerialAttrHint);
+    Profiler.commitSample(S, Attributed, Attr);
   }
 
-  // Stage 4 launch — on multi-core hosts the TLB replay runs overlapped
-  // with stages 2-3: replay touches only ReplayTlb/ReplayCache,
-  // attribution/commit touch only registry and profiler state, and both
-  // sides just read the miss buffers. Joined before stage 5 donates the
-  // buffers. Single-core hosts (and small drains) keep today's serial
-  // order.
-  std::thread ReplayThread;
-  bool OverlapReplay = ReplayTlb && HostThreads > 1 &&
-                       TotalMisses >= Config.ParallelSelectionThreshold;
-  if (OverlapReplay)
-    ReplayThread = std::thread([this] { replayTlbBatched(); });
-
-  // Stage 2 — attribute the selected samples to (object, chunk). Each
-  // sample's result is a pure function of its address, so fanning the
-  // lookups across the kernel pool cannot change any outcome; below the
-  // threshold (or on a single-core host, where pool dispatch just
-  // context-switches) the serial loop is cheaper than the fan-out.
-  AttrScratch.assign(PendingScratch.size(), AttributedSample{});
-  if (KernelPool && HostThreads > 1 &&
-      PendingScratch.size() >= Config.ParallelAttributionThreshold) {
-    // Hints persist across drains (warm starting points); each worker
-    // owns one slot, so reuse is race-free.
-    AttrHintScratch.resize(KernelPool->threadCount());
-    uint64_t Chunk = std::max<uint64_t>(
-        PendingScratch.size() / AttrHintScratch.size() / 4, 256);
-    KernelPool->parallelForThreaded(
-        0, PendingScratch.size(), Chunk,
-        [&](uint32_t Tid, uint64_t Begin, uint64_t End) {
-          mem::AttributionHint &Hint = AttrHintScratch[Tid];
-          for (uint64_t I = Begin; I < End; ++I)
-            AttrScratch[I].Ok = Registry.attributeIndexed(
-                PendingScratch[I].Va, AttrScratch[I].Attr, Hint);
-        });
-  } else {
-    for (size_t I = 0; I < PendingScratch.size(); ++I)
-      AttrScratch[I].Ok = Registry.attributeIndexed(
-          PendingScratch[I].Va, AttrScratch[I].Attr, SerialAttrHint);
-  }
-
-  // Stage 3 — serial commit in selection order. Floating-point profile
-  // accumulation happens in exactly the per-miss order, keeping results
-  // bit-identical to the reference drain.
-  for (size_t I = 0; I < PendingScratch.size(); ++I)
-    Profiler.commitSample(PendingScratch[I], AttrScratch[I].Ok != 0,
-                          AttrScratch[I].Attr);
-
-  // Stage 4 — TLB replay: overlapped thread joins here, otherwise run it
-  // now (today's serial order).
-  if (ReplayThread.joinable())
-    ReplayThread.join();
-  else if (ReplayTlb)
+  // Stage 4 — TLB replay.
+  if (ReplayTlb)
     replayTlbBatched();
 
   // Stage 5 — trace hand-off and buffer recycling. The miss buffers are

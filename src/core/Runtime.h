@@ -106,29 +106,17 @@ struct RuntimeConfig {
   /// regions (Runtime::parallelTracked). 1 (the default) keeps the serial
   /// engine and is bit-identical to the pre-sharding runtime; T > 1 gives
   /// each thread a private LLC shard of SizeBytes / T plus private stats
-  /// and miss buffers, merged deterministically at endIteration().
+  /// and miss buffers, merged deterministically at endIteration(). The
+  /// runtime's only host-parallelism setting: the migrator and the miss
+  /// drain run on the calling thread.
   uint32_t SimThreads = 1;
   /// Drains buffered shard misses through the batched pipeline: arithmetic
-  /// sample pre-selection, bulk trace append, parallel indexed attribution,
-  /// and cached TLB-replay translation. false selects the reference
+  /// sample pre-selection, bulk trace append, indexed attribution, and
+  /// cached TLB-replay translation. false selects the reference
   /// per-miss drain (per-event countdown, linear attribution walk, uncached
   /// page-table translation) — observably identical results, kept as the
   /// equivalence-suite oracle and the perf baseline.
   bool BatchedDrain = true;
-  /// Pending samples below which the batched drain's stage-2 attribution
-  /// stays serial: fan-out pays two pool rendezvous, so small drains are
-  /// faster inline. Was a buried constant before it became a knob.
-  uint64_t ParallelAttributionThreshold = 8192;
-  /// Total buffered misses below which the batched drain keeps stage 1's
-  /// sample pre-scan serial and stage 4's TLB replay on the draining
-  /// thread (the overlap thread and the per-shard scan fan-out only pay
-  /// off once the buffers dwarf their setup cost).
-  uint64_t ParallelSelectionThreshold = 1u << 16;
-  /// Host-parallelism override: 0 reads hardware_concurrency() once at
-  /// construction (the value every drain gate then reuses, never re-read
-  /// per drain). Tests set it >1 to force the parallel drain paths on
-  /// small hosts.
-  uint32_t HostThreadsOverride = 0;
   /// Telemetry collection and export. Constructing a Runtime with
   /// Enabled (or any output path) set arms the process-wide obs switch;
   /// with the default (disabled) config every instrumentation site costs
@@ -269,13 +257,9 @@ public:
   /// instead of dropping them.
   const std::vector<SkippedChunk> &skippedChunks() const { return Skipped; }
 
-  /// Host threads cached at construction; every drain gate reads this.
-  uint32_t hostThreads() const { return HostThreads; }
-
   sim::Machine &machine() { return M; }
   mem::DataObjectRegistry &registry() { return Registry; }
   prof::SamplingProfiler &profiler() { return Profiler; }
-  mem::ThreadPool &pool() { return Pool; }
   const RuntimeConfig &config() const { return Config; }
   analyzer::AnalyzerConfig &analyzerConfig() { return Config.Analyzer; }
 
@@ -309,18 +293,16 @@ private:
                      const std::vector<double> *Priorities);
 
   /// Merges shard stats into Stats and replays buffered misses through
-  /// the profiler / trace / TLB consumers, in thread-index order. With
-  /// Config.BatchedDrain this runs the staged pipeline (select →
-  /// attribute in parallel → commit in order); otherwise the reference
-  /// per-miss loop.
+  /// the profiler / trace / TLB consumers, in thread-index order, on the
+  /// calling thread. With Config.BatchedDrain this runs the staged
+  /// pipeline (select → attribute and commit in order → TLB replay →
+  /// trace hand-off); otherwise the reference per-miss loop.
   void mergeContexts();
 
   /// Batched drain stages over the per-context miss buffers.
   void drainBatched();
   /// Stage 4 of the batched drain: TLB replay over every shard buffer with
-  /// a huge-page run skip. Touches only ReplayTlb/ReplayCache plus
-  /// read-only miss buffers, so drainBatched may run it on a separate
-  /// thread overlapped with stages 2-3.
+  /// a huge-page run skip.
   void replayTlbBatched();
   /// Reference per-miss drain (pre-optimization behaviour).
   void drainReference();
@@ -337,7 +319,6 @@ private:
   RuntimeConfig Config;
   sim::Machine M;
   mem::DataObjectRegistry Registry;
-  mem::ThreadPool Pool;
   prof::SamplingProfiler Profiler;
   mem::AtmemMigrator AtmemMig;
   mem::MbindMigrator MbindMig;
@@ -347,32 +328,20 @@ private:
   sim::AccessStats Stats;
   /// One shard per SimThread when SimThreads > 1 (else empty).
   std::vector<std::unique_ptr<SimContext>> Contexts;
-  /// Pool sized SimThreads driving parallelTracked (null when serial).
+  /// Pool sized SimThreads driving parallelTracked (null when serial);
+  /// the only host thread pool a runtime owns.
   std::unique_ptr<mem::ThreadPool> KernelPool;
   sim::Tlb *ReplayTlb = nullptr;
   prof::TraceWriter *MissTrace = nullptr;
   /// Direct-mapped translation cache for TLB replay, built lazily on
   /// first use (only when a replay TLB is attached).
   std::unique_ptr<sim::TranslationCache> ReplayCache;
-  /// One sample's parallel attribution result, committed serially.
-  struct AttributedSample {
-    mem::Attribution Attr;
-    uint8_t Ok = 0;
-  };
-  /// Reused drain scratch (selection and attribution stages).
+  /// Reused drain scratch: the samples stage 1 selected.
   std::vector<prof::PendingSample> PendingScratch;
-  std::vector<AttributedSample> AttrScratch;
-  /// Attribution hint state recycled across drains: graph iterations miss
-  /// in the same objects, so last drain's hints start warm instead of
+  /// Attribution hint recycled across drains: graph iterations miss in
+  /// the same objects, so last drain's hint starts warm instead of
   /// re-walking the registry index from cold every batch.
   mem::AttributionHint SerialAttrHint;
-  std::vector<mem::AttributionHint> AttrHintScratch;
-  /// Host threads cached once at construction.
-  uint32_t HostThreads = 1;
-  /// Per-shard selection states / outputs of the parallel stage-1
-  /// pre-scan (spliced into PendingScratch in shard order).
-  std::vector<prof::SelectionState> SelStateScratch;
-  std::vector<std::vector<prof::PendingSample>> SelScratch;
   bool TrackingEnabled = true;
   /// True while a "runtime.iteration" trace span is open (beginIteration
   /// ran with telemetry enabled; endIteration closes it).

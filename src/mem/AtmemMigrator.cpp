@@ -114,9 +114,9 @@ MigrationStatus AtmemMigrator::migrate(DataObject &Obj,
     obs::SpanScope RangeSpan("migrator.range", "migrator");
 
     // Stage (a): map a staging buffer on the target tier and copy the live
-    // bytes into it with the worker pool. A failure here needs no rollback:
-    // nothing was mapped, the source range is untouched, and every range
-    // committed before this one stays committed.
+    // bytes into it. A failure here needs no rollback: nothing was mapped,
+    // the source range is untouched, and every range committed before this
+    // one stays committed.
     uint64_t StagingVa = Registry.reserveScratchVa(Len);
     if (StagingAllocFault.shouldFail() ||
         !PT.mapRegion(StagingVa, Len, Target, /*PreferHuge=*/true)) {
@@ -130,9 +130,7 @@ MigrationStatus AtmemMigrator::migrate(DataObject &Obj,
     std::byte *Stage = Staging.get();
     {
       obs::SpanScope CopyIn("migrator.copy_in", "migrator");
-      Pool.parallelFor(0, Len, [&](uint64_t From, uint64_t To) {
-        std::memcpy(Stage + From, Live + From, To - From);
-      });
+      std::memcpy(Stage, Live, Len);
     }
     recordRangeEvent(Obj, Range, Target, obs::DecisionPhase::Staged);
 
@@ -157,9 +155,7 @@ MigrationStatus AtmemMigrator::migrate(DataObject &Obj,
     // Stage (c): drain the staging buffer back into the range.
     {
       obs::SpanScope Drain("migrator.copy_out", "migrator");
-      Pool.parallelFor(0, Len, [&](uint64_t From, uint64_t To) {
-        std::memcpy(Live + From, Stage + From, To - From);
-      });
+      std::memcpy(Live, Stage, Len);
       PT.unmapRegion(StagingVa, Len);
     }
 

@@ -21,8 +21,8 @@ ThreadPool::ThreadPool(uint32_t Threads) {
   Workers.reserve(Count);
   for (uint32_t I = 0; I < Count; ++I) {
     // A failed spawn (injected, or real resource exhaustion) degrades the
-    // pool rather than killing the process; parallelFor falls back to
-    // inline execution when no worker came up at all.
+    // pool rather than killing the process; parallelForThreaded falls back
+    // to inline execution when no worker came up at all.
     if (SpawnFault.shouldFail())
       continue;
     try {
@@ -106,12 +106,4 @@ void ThreadPool::parallelForThreaded(uint64_t Begin, uint64_t End,
   WorkReady.notify_all();
   std::unique_lock<std::mutex> Lock(Mutex);
   WorkDone.wait(Lock, [this] { return Pending == 0; });
-}
-
-void ThreadPool::parallelFor(
-    uint64_t Begin, uint64_t End,
-    const std::function<void(uint64_t, uint64_t)> &Body, uint64_t ChunkSize) {
-  parallelForThreaded(Begin, End, ChunkSize,
-                      [&Body](uint32_t, uint64_t ChunkBegin,
-                              uint64_t ChunkEnd) { Body(ChunkBegin, ChunkEnd); });
 }

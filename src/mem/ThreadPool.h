@@ -6,17 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small blocking thread pool used by the ATMem migrator for its
-/// multi-threaded staging copies (paper Section 4.4) and by the parallel
-/// tracked-execution engine for kernel iterations. The pool is real —
-/// the staged copies move real bytes through real threads — while the
-/// *reported* migration time comes from the MigrationCostModel so results
-/// do not depend on the host machine.
+/// A small blocking thread pool: the kernel pool of the parallel
+/// tracked-execution engine (Runtime::parallelTracked), which a Runtime
+/// builds only when SimThreads > 1. It is the only host thread pool a
+/// Runtime owns; the migrator's copies and the miss drain run on the
+/// calling thread.
 ///
-/// Work distribution is chunked dynamic scheduling: a parallel-for carves
-/// [Begin, End) into fixed-size chunks that participants grab with one
-/// atomic fetch-add each. Skewed iterations (a hub vertex's huge adjacency
-/// list) therefore cannot straggle an entire slice the way the previous
+/// Work distribution is chunked dynamic scheduling: parallelForThreaded
+/// carves [Begin, End) into fixed-size chunks that participants grab with
+/// one atomic fetch-add each. Skewed iterations (a hub vertex's huge
+/// adjacency list) therefore cannot straggle an entire slice the way a
 /// one-contiguous-slice-per-worker split could.
 ///
 //===----------------------------------------------------------------------===//
@@ -35,11 +34,12 @@
 namespace atmem {
 namespace mem {
 
-/// Fixed-size worker pool with blocking parallel-for primitives.
+/// Fixed-size worker pool with a blocking parallel-for.
 class ThreadPool {
 public:
-  /// Body form that also receives the participant index; accesses made by
-  /// the body can be keyed on it (one simulation shard per participant).
+  /// Loop body: the participant index, then the chunk's [Begin, End).
+  /// Accesses made by the body can be keyed on the index (one simulation
+  /// shard per participant).
   using ThreadedBody = std::function<void(uint32_t, uint64_t, uint64_t)>;
 
   /// Spawns \p Threads workers (at least one).
@@ -51,19 +51,15 @@ public:
 
   uint32_t threadCount() const { return static_cast<uint32_t>(Workers.size()); }
 
-  /// Runs \p Body(ChunkBegin, ChunkEnd) over [Begin, End) split into
-  /// dynamically scheduled chunks of at most \p ChunkSize (0 picks a size
-  /// aimed at ~8 chunks per worker). Blocks until the range completes.
-  void parallelFor(uint64_t Begin, uint64_t End,
-                   const std::function<void(uint64_t, uint64_t)> &Body,
-                   uint64_t ChunkSize = 0);
-
-  /// Like parallelFor, but \p Body also receives a stable participant
-  /// index in [0, threadCount()): at most threadCount() participants run
+  /// Runs \p Body over [Begin, End) split into dynamically scheduled
+  /// chunks of at most \p ChunkSize (0 picks a size aimed at ~8 chunks per
+  /// worker) and blocks until the range completes. The participant index
+  /// is in [0, threadCount()): at most threadCount() participants run
   /// concurrently and no index is ever active on two chunks at once, so a
   /// body may use the index to address un-synchronized per-participant
   /// state. Chunks are grabbed dynamically; which chunks land on which
-  /// index is scheduling-dependent.
+  /// index is scheduling-dependent. With no worker (every spawn failed)
+  /// the body runs inline as Body(0, Begin, End).
   void parallelForThreaded(uint64_t Begin, uint64_t End, uint64_t ChunkSize,
                            const ThreadedBody &Body);
 

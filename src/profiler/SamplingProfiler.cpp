@@ -141,50 +141,22 @@ void SamplingProfiler::selectSamples(const uint64_t *Vas, size_t N,
                                      std::vector<PendingSample> &Out) {
   if (!Active)
     return;
-  SelectionState S = selectionState();
-  selectSamplesFrom(S, Vas, N, Out);
-  commitSelectionState(S);
-}
-
-void SamplingProfiler::selectSamplesFrom(SelectionState &S,
-                                         const uint64_t *Vas, size_t N,
-                                         std::vector<PendingSample> &Out)
-    const {
   // Equivalent to N ordered notifyMiss() calls: with Countdown events left
   // before the next sample, a span of R remaining misses contains a sample
   // iff R >= Countdown, and it is the (Countdown-1)-th of them. Everything
   // between samples is skipped in one arithmetic stride.
   size_t I = 0;
-  while (N - I >= S.Countdown) {
-    I += static_cast<size_t>(S.Countdown) - 1;
-    Out.push_back({Vas[I], S.Period});
+  while (N - I >= Countdown) {
+    I += static_cast<size_t>(Countdown) - 1;
+    Out.push_back({Vas[I], Period});
     ++I;
-    ++S.SamplesTaken;
-    if (S.SamplesTaken % SampleBudget == 0)
-      S.Period *= 2;
-    S.Countdown = S.Period;
+    ++SamplesTaken;
+    if (SamplesTaken % SampleBudget == 0)
+      Period *= 2;
+    Countdown = Period;
   }
-  S.Countdown -= N - I;
-  S.MissesSeen += N;
-}
-
-void SamplingProfiler::advanceSelection(SelectionState &S, uint64_t N) const {
-  // Between period doublings the scan above is an arithmetic progression:
-  // the first sample lands after Countdown misses, every further one after
-  // Period more. Batch all samples up to the next doubling in one stride.
-  uint64_t I = 0;
-  while (N - I >= S.Countdown) {
-    uint64_t ToDouble = SampleBudget - S.SamplesTaken % SampleBudget;
-    uint64_t Avail = 1 + (N - I - S.Countdown) / S.Period;
-    uint64_t Take = Avail < ToDouble ? Avail : ToDouble;
-    I += S.Countdown + (Take - 1) * S.Period;
-    S.SamplesTaken += Take;
-    if (Take == ToDouble)
-      S.Period *= 2;
-    S.Countdown = S.Period;
-  }
-  S.Countdown -= N - I;
-  S.MissesSeen += N;
+  Countdown -= N - I;
+  MissesSeen += N;
 }
 
 void SamplingProfiler::commitSample(const PendingSample &S, bool Attributed,

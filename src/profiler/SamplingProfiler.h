@@ -18,6 +18,12 @@
 /// long profiling window does not oversample ("avoids unnecessarily high
 /// sampling frequency while ensuring efficient information collection").
 ///
+/// The serial engine feeds misses one at a time (notifyMiss). The sharded
+/// engine buffers them, and the thread that ends the iteration drains the
+/// buffers serially, in thread-index order: selectSamples() picks the
+/// samples, the registry attributes each one, and commitSample() folds it
+/// into the profiles.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ATMEM_PROFILER_SAMPLINGPROFILER_H
@@ -56,26 +62,6 @@ struct ProfilerConfig {
 struct PendingSample {
   uint64_t Va = 0;
   uint64_t PeriodInForce = 0;
-};
-
-/// The complete sampling-countdown state as a value. Selection depends
-/// only on miss *order*, and this state advances deterministically with
-/// the number of misses scanned — never their contents — so a drain can
-/// compute each shard's start state arithmetically (advanceSelection),
-/// scan all shards' buffers concurrently (selectSamplesFrom), and splice
-/// the selections in shard order for a result bit-identical to one
-/// serial scan.
-struct SelectionState {
-  uint64_t Countdown = 0;
-  uint64_t Period = 0;
-  uint64_t SamplesTaken = 0;
-  uint64_t MissesSeen = 0;
-
-  bool operator==(const SelectionState &O) const {
-    return Countdown == O.Countdown && Period == O.Period &&
-           SamplesTaken == O.SamplesTaken && MissesSeen == O.MissesSeen;
-  }
-  bool operator!=(const SelectionState &O) const { return !(*this == O); }
 };
 
 /// Sampling profiler over the simulated miss stream.
@@ -119,47 +105,11 @@ public:
   void notifyMissReference(uint64_t Va);
 
   /// Stage 1 of the batched drain: advances the sampling state over \p N
-  /// ordered misses and appends the selected samples to \p Out without
-  /// attributing them. Selection depends only on miss order — never on
-  /// attribution results — which is what lets stage 2 run in parallel.
+  /// ordered misses exactly as N notifyMiss() calls would, and appends the
+  /// selected samples to \p Out without attributing them. Selection
+  /// depends only on miss order, never on attribution results.
   void selectSamples(const uint64_t *Vas, size_t N,
                      std::vector<PendingSample> &Out);
-
-  /// \name Split selection for the sharded pre-scan
-  /// selectSamples() == selectionState() + selectSamplesFrom() +
-  /// commitSelectionState(); the split form lets the batched drain scan
-  /// shard buffers concurrently from precomputed start states.
-  ///@{
-
-  /// Current countdown state as a value.
-  SelectionState selectionState() const {
-    return {Countdown, Period, SamplesTaken, MissesSeen};
-  }
-
-  /// Installs \p S as the profiler's countdown state (the state after the
-  /// last shard, once a sharded pre-scan spliced its selections).
-  void commitSelectionState(const SelectionState &S) {
-    Countdown = S.Countdown;
-    Period = S.Period;
-    SamplesTaken = S.SamplesTaken;
-    MissesSeen = S.MissesSeen;
-  }
-
-  /// Advances \p S over \p N misses WITHOUT looking at them — the state
-  /// after a scan depends only on the count. Sample positions within a
-  /// stretch of constant period are an arithmetic progression, so the
-  /// advance costs O(period doublings), not O(N): this is what makes
-  /// per-shard start states cheap to compute serially before the
-  /// parallel scans. Fuzzed against selectSamplesFrom() for equality.
-  void advanceSelection(SelectionState &S, uint64_t N) const;
-
-  /// The selectSamples() scan against caller-owned state: appends the
-  /// samples selected among \p Vas to \p Out and advances \p S exactly as
-  /// notifyMiss() would. Const — safe to run on several states/buffers
-  /// concurrently (SampleBudget is fixed while the profiler is active).
-  void selectSamplesFrom(SelectionState &S, const uint64_t *Vas, size_t N,
-                         std::vector<PendingSample> &Out) const;
-  ///@}
 
   /// Stage 3 of the batched drain: folds one selected sample into the
   /// per-chunk profiles. Must be called in selection order (floating-point

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <thread>
+
 using namespace atmem;
 using namespace atmem::core;
 
@@ -169,6 +173,83 @@ TEST(RuntimeTest, ReleaseRemovesObject) {
   TrackedArray<uint32_t> Arr = Rt.allocate<uint32_t>("v", 64);
   Rt.release(Arr.objectId());
   EXPECT_TRUE(Rt.registry().liveObjects().empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Thread budget: the kernel pool is the only host thread pool a runtime
+// owns. The migrator copies and the miss drain run on the calling thread.
+//===----------------------------------------------------------------------===//
+
+/// Threads in this process, or 0 where /proc/self/task is missing.
+long processThreadCount() {
+  std::error_code Ec;
+  std::filesystem::directory_iterator It("/proc/self/task", Ec);
+  long Count = 0;
+  for (; !Ec && It != std::filesystem::directory_iterator(); It.increment(Ec))
+    ++Count;
+  return Ec ? 0 : Count;
+}
+
+/// processThreadCount() once it has stopped changing: a thread that was
+/// just joined can stay listed until the kernel finishes its exit.
+long settledThreadCount() {
+  long Count = processThreadCount();
+  for (int Stable = 0, Round = 0; Stable < 5 && Round < 1000; ++Round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    long Now = processThreadCount();
+    Stable = Now == Count ? Stable + 1 : 0;
+    Count = Now;
+  }
+  return Count;
+}
+
+/// Threads a runtime on \p Machine has added once a replay TLB is
+/// attached, one profiled iteration has run, and optimize() has migrated.
+long threadsAddedByRuntime(const sim::MachineConfig &Machine,
+                           uint32_t SimThreads) {
+  RuntimeConfig Config;
+  Config.Machine = Machine;
+  Config.SimThreads = SimThreads;
+  long Before = settledThreadCount();
+  Runtime Rt(Config);
+  TrackedArray<uint64_t> Hot = Rt.allocate<uint64_t>("hot", 1 << 17);
+  TrackedArray<uint64_t> Cold = Rt.allocate<uint64_t>("cold", 1 << 17);
+  sim::Tlb Tlb = Rt.machine().makeTlb();
+  Rt.setReplayTlb(&Tlb);
+
+  Rt.profilingStart();
+  Rt.beginIteration();
+  // Reads only, so parallel participants never race on the arrays.
+  Rt.parallelTracked(0, 200000, [&](uint32_t, uint64_t Begin, uint64_t End) {
+    for (uint64_t I = Begin; I < End; ++I) {
+      (void)Hot[(I * 2654435761u) & ((1 << 17) - 1)];
+      if (I % 64 == 0)
+        (void)Cold[I % Cold.size()];
+    }
+  });
+  Rt.endIteration();
+  Rt.profilingStop();
+  mem::MigrationResult Result = Rt.optimize();
+  EXPECT_GT(Result.Ranges, 0u);
+  EXPECT_GT(Tlb.misses(), 0u);
+  Rt.setReplayTlb(nullptr);
+  return settledThreadCount() - Before;
+}
+
+TEST(RuntimeThreadBudgetTest, OnlyTheKernelPoolAddsThreads) {
+  if (processThreadCount() == 0)
+    GTEST_SKIP() << "/proc/self/task is not available";
+  // TSan starts a helper thread at the first thread creation; create one
+  // up front so every baseline below already counts it.
+  std::thread([] {}).join();
+  const std::pair<const char *, sim::MachineConfig> Testbeds[] = {
+      {"nvm", sim::nvmDramTestbed(1.0 / 1024)},
+      {"mcdram", sim::mcdramDramTestbed(1.0 / 1024)}};
+  for (const auto &[Name, Machine] : Testbeds) {
+    SCOPED_TRACE(Name);
+    EXPECT_EQ(threadsAddedByRuntime(Machine, 1), 0);
+    EXPECT_EQ(threadsAddedByRuntime(Machine, 4), 4);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,11 +12,13 @@
 #include "mem/AtmemMigrator.h"
 #include "mem/MbindMigrator.h"
 #include "mem/MemoryInvariants.h"
+#include "mem/ThreadPool.h"
 #include "obs/Json.h"
 #include "sim/Machine.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 
@@ -208,8 +210,8 @@ TEST_F(FaultTest, RegisteredSitesListsCatalogue) {
 class MigratorFaultTest : public FaultTest {
 protected:
   MigratorFaultTest()
-      : M(nvmDramTestbed(1.0 / 1024)), Registry(M), Pool(2),
-        Atmem(Registry, Pool), Mbind(Registry) {}
+      : M(nvmDramTestbed(1.0 / 1024)), Registry(M), Atmem(Registry),
+        Mbind(Registry) {}
 
   DataObject &makeObject(const char *Name, uint64_t Size,
                          uint64_t ChunkBytes) {
@@ -236,7 +238,6 @@ protected:
 
   Machine M;
   DataObjectRegistry Registry;
-  ThreadPool Pool;
   AtmemMigrator Atmem;
   MbindMigrator Mbind;
 };
@@ -378,12 +379,13 @@ TEST_F(FaultTest, ThreadPoolSpawnFaultDegradesToInlineExecution) {
   fault::FaultRegistry::instance().disarmAll();
   EXPECT_EQ(Pool.threadCount(), 0u);
 
-  // parallelFor still runs the whole range, inline.
+  // parallelForThreaded still runs the whole range, inline.
   std::atomic<uint64_t> Sum{0};
-  Pool.parallelFor(0, 1000, [&](uint64_t Begin, uint64_t End) {
-    for (uint64_t I = Begin; I < End; ++I)
-      Sum.fetch_add(I, std::memory_order_relaxed);
-  });
+  Pool.parallelForThreaded(0, 1000, /*ChunkSize=*/0,
+                           [&](uint32_t, uint64_t Begin, uint64_t End) {
+                             for (uint64_t I = Begin; I < End; ++I)
+                               Sum.fetch_add(I, std::memory_order_relaxed);
+                           });
   EXPECT_EQ(Sum.load(), 1000u * 999u / 2);
 }
 
@@ -397,10 +399,11 @@ TEST_F(FaultTest, ThreadPoolPartialSpawnStillWorks) {
   EXPECT_EQ(Pool.threadCount(), 3u);
 
   std::atomic<uint64_t> Sum{0};
-  Pool.parallelFor(0, 1000, [&](uint64_t Begin, uint64_t End) {
-    for (uint64_t I = Begin; I < End; ++I)
-      Sum.fetch_add(I, std::memory_order_relaxed);
-  });
+  Pool.parallelForThreaded(0, 1000, /*ChunkSize=*/0,
+                           [&](uint32_t, uint64_t Begin, uint64_t End) {
+                             for (uint64_t I = Begin; I < End; ++I)
+                               Sum.fetch_add(I, std::memory_order_relaxed);
+                           });
   EXPECT_EQ(Sum.load(), 1000u * 999u / 2);
 }
 

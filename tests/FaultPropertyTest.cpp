@@ -82,13 +82,9 @@ TEST_F(FaultPropertyTest, AtmemSchedulesPreserveAccounting) {
     SCOPED_TRACE("trial seed " + std::to_string(Seed));
     Xoshiro256 Rng(Seed);
 
-    // Worker spawns may also fail; the pool degrades, never the test.
-    armProbability("threadpool.spawn", 0.3, Seed + 1);
     Machine M(nvmDramTestbed(1.0 / 1024));
     DataObjectRegistry Registry(M);
-    ThreadPool Pool(2);
-    AtmemMigrator Atmem(Registry, Pool);
-    fault::FaultRegistry::instance().disarmAll();
+    AtmemMigrator Atmem(Registry);
 
     armProbability("migrator.staging_alloc", 0.25, Seed + 2);
     armProbability("migrator.remap", 0.25, Seed + 3);
@@ -155,8 +151,7 @@ TEST_F(FaultPropertyTest, MixedMechanismSchedulesHealCleanly) {
 
     Machine M(nvmDramTestbed(1.0 / 1024));
     DataObjectRegistry Registry(M);
-    ThreadPool Pool(2);
-    AtmemMigrator Atmem(Registry, Pool);
+    AtmemMigrator Atmem(Registry);
     MbindMigrator Mbind(Registry);
 
     std::vector<DataObject *> Objects;

@@ -1,6 +1,6 @@
 //===----------------------------------------------------------------------===//
 // Unit tests for the two migration mechanisms: ATMem's multi-stage
-// multi-threaded migrator and the mbind system-service model.
+// migrator and the mbind system-service model.
 //===----------------------------------------------------------------------===//
 
 #include "mem/AtmemMigrator.h"
@@ -20,8 +20,8 @@ namespace {
 class MigratorTest : public ::testing::Test {
 protected:
   MigratorTest()
-      : M(nvmDramTestbed(1.0 / 1024)), Registry(M), Pool(4),
-        Atmem(Registry, Pool), Mbind(Registry) {}
+      : M(nvmDramTestbed(1.0 / 1024)), Registry(M), Atmem(Registry),
+        Mbind(Registry) {}
 
   /// Creates an object on the slow tier and fills it with a recognizable
   /// pattern.
@@ -42,7 +42,6 @@ protected:
 
   Machine M;
   DataObjectRegistry Registry;
-  ThreadPool Pool;
   AtmemMigrator Atmem;
   MbindMigrator Mbind;
 };
@@ -193,7 +192,7 @@ TEST_F(MigratorTest, MergedRangeCheaperThanFragments) {
   for (uint32_t C = 0; C < 8; ++C)
     EveryOther.push_back({C, 1});
   MigrationResult Fragments;
-  AtmemMigrator Second(Registry, Pool);
+  AtmemMigrator Second(Registry);
   ASSERT_EQ(Second.migrate(B, EveryOther, TierId::Fast, Fragments), MigrationStatus::Success);
   EXPECT_GT(Fragments.SimSeconds, Merged.SimSeconds);
 }

@@ -222,8 +222,7 @@ TEST_P(MigrationInvariantTest, RandomRangesPreserveEverything) {
   Xoshiro256 Rng(Case.Seed);
   Machine M(nvmDramTestbed(1.0 / 1024));
   DataObjectRegistry Registry(M);
-  ThreadPool Pool(4);
-  AtmemMigrator Atmem(Registry, Pool);
+  AtmemMigrator Atmem(Registry);
   MbindMigrator Mbind(Registry);
   Migrator &Mig = Case.UseMbind ? static_cast<Migrator &>(Mbind)
                                 : static_cast<Migrator &>(Atmem);

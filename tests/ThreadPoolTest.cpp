@@ -1,5 +1,5 @@
 //===----------------------------------------------------------------------===//
-// Unit tests for the migration thread pool.
+// Unit tests for the kernel thread pool.
 //===----------------------------------------------------------------------===//
 
 #include "mem/ThreadPool.h"
@@ -27,41 +27,14 @@ TEST(ThreadPoolTest, RequestedWorkerCount) {
   EXPECT_EQ(Pool.threadCount(), 4u);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Touched(1000);
-  Pool.parallelFor(0, 1000, [&](uint64_t Begin, uint64_t End) {
-    for (uint64_t I = Begin; I < End; ++I)
-      ++Touched[I];
-  });
-  for (int I = 0; I < 1000; ++I)
-    ASSERT_EQ(Touched[I].load(), 1) << "index " << I;
-}
-
-TEST(ThreadPoolTest, EmptyRangeIsNoop) {
-  ThreadPool Pool(2);
-  std::atomic<int> Calls{0};
-  Pool.parallelFor(5, 5, [&](uint64_t, uint64_t) { ++Calls; });
-  EXPECT_EQ(Calls.load(), 0);
-}
-
-TEST(ThreadPoolTest, RangeSmallerThanWorkers) {
-  ThreadPool Pool(8);
-  std::atomic<uint64_t> Sum{0};
-  Pool.parallelFor(0, 3, [&](uint64_t Begin, uint64_t End) {
-    for (uint64_t I = Begin; I < End; ++I)
-      Sum += I + 1;
-  });
-  EXPECT_EQ(Sum.load(), 6u); // 1 + 2 + 3.
-}
-
 TEST(ThreadPoolTest, SlicesAreContiguousAndOrderedWithinSlice) {
   ThreadPool Pool(3);
   std::vector<int> Data(300, 0);
-  Pool.parallelFor(0, 300, [&](uint64_t Begin, uint64_t End) {
-    for (uint64_t I = Begin; I < End; ++I)
-      Data[I] = static_cast<int>(I);
-  });
+  Pool.parallelForThreaded(0, 300, /*ChunkSize=*/0,
+                           [&](uint32_t, uint64_t Begin, uint64_t End) {
+                             for (uint64_t I = Begin; I < End; ++I)
+                               Data[I] = static_cast<int>(I);
+                           });
   for (int I = 0; I < 300; ++I)
     ASSERT_EQ(Data[I], I);
 }
@@ -70,9 +43,10 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   ThreadPool Pool(4);
   for (int Round = 0; Round < 50; ++Round) {
     std::atomic<uint64_t> Count{0};
-    Pool.parallelFor(0, 64, [&](uint64_t Begin, uint64_t End) {
-      Count += End - Begin;
-    });
+    Pool.parallelForThreaded(0, 64, /*ChunkSize=*/0,
+                             [&](uint32_t, uint64_t Begin, uint64_t End) {
+                               Count += End - Begin;
+                             });
     ASSERT_EQ(Count.load(), 64u);
   }
 }
@@ -86,14 +60,15 @@ TEST(ThreadPoolTest, ActuallyRunsConcurrently) {
   std::condition_variable AllArrived;
   int Arrived = 0;
   bool SawFullOverlap = false;
-  Pool.parallelFor(0, 4, [&](uint64_t, uint64_t) {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    if (++Arrived == 4)
-      SawFullOverlap = true;
-    AllArrived.notify_all();
-    AllArrived.wait_for(Lock, std::chrono::seconds(5),
-                        [&] { return Arrived == 4; });
-  });
+  Pool.parallelForThreaded(0, 4, /*ChunkSize=*/1,
+                           [&](uint32_t, uint64_t, uint64_t) {
+                             std::unique_lock<std::mutex> Lock(Mutex);
+                             if (++Arrived == 4)
+                               SawFullOverlap = true;
+                             AllArrived.notify_all();
+                             AllArrived.wait_for(Lock, std::chrono::seconds(5),
+                                                 [&] { return Arrived == 4; });
+                           });
   EXPECT_TRUE(SawFullOverlap);
 }
 
@@ -184,9 +159,11 @@ TEST(ThreadPoolTest, LargeByteRangeSplits) {
   ThreadPool Pool(4);
   std::vector<uint8_t> Src(1 << 20, 0xAB);
   std::vector<uint8_t> Dst(1 << 20, 0);
-  Pool.parallelFor(0, Src.size(), [&](uint64_t Begin, uint64_t End) {
-    std::copy(Src.begin() + Begin, Src.begin() + End, Dst.begin() + Begin);
-  });
+  Pool.parallelForThreaded(0, Src.size(), /*ChunkSize=*/0,
+                           [&](uint32_t, uint64_t Begin, uint64_t End) {
+                             std::copy(Src.begin() + Begin, Src.begin() + End,
+                                       Dst.begin() + Begin);
+                           });
   EXPECT_EQ(Src, Dst);
 }
 
