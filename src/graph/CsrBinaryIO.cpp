@@ -46,6 +46,18 @@ bool readBlock(std::FILE *File, void *Data, size_t Bytes) {
   return Bytes == 0 || std::fread(Data, 1, Bytes, File) == Bytes;
 }
 
+/// Bytes from the current position of \p File to its end, or
+/// std::nullopt when the stream cannot seek.
+std::optional<uint64_t> remainingBytes(std::FILE *File) {
+  long Here = std::ftell(File);
+  if (Here < 0 || std::fseek(File, 0, SEEK_END) != 0)
+    return std::nullopt;
+  long End = std::ftell(File);
+  if (End < Here || std::fseek(File, Here, SEEK_SET) != 0)
+    return std::nullopt;
+  return static_cast<uint64_t>(End - Here);
+}
+
 } // namespace
 
 bool graph::writeCsrBinary(const CsrGraph &G, const std::string &Path) {
@@ -82,10 +94,22 @@ std::optional<CsrGraph> graph::readCsrBinary(const std::string &Path) {
   CsrBinaryHeader Header;
   if (!readBlock(File.get(), &Header, sizeof(Header)))
     return std::nullopt;
-  if (Header.Magic != CsrBinaryHeader::MagicValue || Header.Version != 1)
+  if (Header.Magic != CsrBinaryHeader::MagicValue || Header.Version != 1 ||
+      Header.HasWeights > 1)
     return std::nullopt;
-  // Basic sanity before allocating: vertex ids are 32-bit.
-  if (Header.NumVertices > (1ull << 32))
+  // The vertex count must fit in a VertexId.
+  if (Header.NumVertices >= (1ull << 32))
+    return std::nullopt;
+  // Nothing is allocated unless the header describes exactly the payload
+  // the file holds. Dividing the edge bytes instead of multiplying the
+  // declared edge count cannot overflow.
+  std::optional<uint64_t> PayloadBytes = remainingBytes(File.get());
+  uint64_t OffsetBytes = (Header.NumVertices + 1) * sizeof(uint64_t);
+  uint64_t BytesPerEdge =
+      sizeof(VertexId) + (Header.HasWeights ? sizeof(uint32_t) : 0);
+  if (!PayloadBytes || *PayloadBytes < OffsetBytes ||
+      (*PayloadBytes - OffsetBytes) % BytesPerEdge != 0 ||
+      (*PayloadBytes - OffsetBytes) / BytesPerEdge != Header.NumEdges)
     return std::nullopt;
 
   std::vector<uint64_t> RowOffsets(Header.NumVertices + 1);

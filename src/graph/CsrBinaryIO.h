@@ -51,7 +51,8 @@ uint64_t fnv1aDigest(const void *Data, size_t Bytes,
 bool writeCsrBinary(const CsrGraph &G, const std::string &Path);
 
 /// Loads a graph previously written by writeCsrBinary(). Returns
-/// std::nullopt on I/O failure, bad magic/version, or digest mismatch.
+/// std::nullopt on I/O failure, bad magic/version, a header whose counts
+/// do not match the file size, or digest mismatch.
 std::optional<CsrGraph> readCsrBinary(const std::string &Path);
 
 } // namespace graph

@@ -66,25 +66,43 @@ CsrGraph graph::buildCsr(uint32_t NumVertices, std::vector<Edge> Edges,
                                }),
                 Edges.end());
   }
-  for ([[maybe_unused]] const Edge &E : Edges)
-    assert(E.first < NumVertices && E.second < NumVertices &&
-           "edge endpoint out of range");
 
-  // Counting sort by source builds the offsets in O(V + E).
+  // Out- and in-degrees, prefix-summed into row offsets (by source) and
+  // column offsets (by destination).
   std::vector<uint64_t> RowOffsets(NumVertices + 1, 0);
-  for (const Edge &E : Edges)
+  std::vector<uint64_t> InOffsets(NumVertices + 1, 0);
+  for (const Edge &E : Edges) {
+    if (E.first >= NumVertices || E.second >= NumVertices)
+      reportFatalError("edge endpoint out of range");
     ++RowOffsets[E.first + 1];
-  for (uint32_t V = 0; V < NumVertices; ++V)
+    ++InOffsets[E.second + 1];
+  }
+  for (uint32_t V = 0; V < NumVertices; ++V) {
     RowOffsets[V + 1] += RowOffsets[V];
+    InOffsets[V + 1] += InOffsets[V];
+  }
 
+  // Two stable counting sorts sort every row without comparisons. Pass 1
+  // groups the sources by destination; pass 2 walks the destinations in
+  // ascending order and appends each to its source's row, which
+  // therefore comes out sorted. Pass 2 writes into Edges[I].first, free
+  // once pass 1 has read it, and the result is copied into Cols. Each
+  // pass advances its offsets as cursors, leaving Offsets[V] at the end
+  // of group V.
   std::vector<VertexId> Cols(Edges.size());
-  std::vector<uint64_t> Cursor(RowOffsets.begin(), RowOffsets.end() - 1);
   for (const Edge &E : Edges)
-    Cols[Cursor[E.first]++] = E.second;
-
-  if (Options.SortNeighbors || Options.DeduplicateEdges)
-    for (uint32_t V = 0; V < NumVertices; ++V)
-      std::sort(Cols.begin() + RowOffsets[V], Cols.begin() + RowOffsets[V + 1]);
+    Cols[InOffsets[E.second]++] = E.first;
+  uint64_t Begin = 0;
+  for (VertexId Dst = 0; Dst < NumVertices; ++Dst) {
+    for (uint64_t I = Begin; I < InOffsets[Dst]; ++I)
+      Edges[RowOffsets[Cols[I]]++].first = Dst;
+    Begin = InOffsets[Dst];
+  }
+  std::move_backward(RowOffsets.begin(), RowOffsets.end() - 1,
+                     RowOffsets.end());
+  RowOffsets[0] = 0;
+  for (size_t I = 0; I < Cols.size(); ++I)
+    Cols[I] = Edges[I].first;
 
   if (Options.DeduplicateEdges) {
     std::vector<uint64_t> NewOffsets(NumVertices + 1, 0);

@@ -79,12 +79,13 @@ private:
 struct BuildOptions {
   bool RemoveSelfLoops = true;
   bool DeduplicateEdges = false;
-  bool SortNeighbors = true;
   /// Adds the reverse of every edge (undirected view).
   bool Symmetrize = false;
 };
 
-/// Builds a CSR graph over \p NumVertices from \p Edges.
+/// Builds a CSR graph over \p NumVertices from \p Edges. Every row comes
+/// out sorted by neighbor id. Aborts if an endpoint is not below
+/// \p NumVertices.
 CsrGraph buildCsr(uint32_t NumVertices, std::vector<Edge> Edges,
                   const BuildOptions &Options = {});
 

@@ -54,7 +54,7 @@ Dataset graph::makeDataset(const std::string &Name, double ScaleDivisor) {
   const DatasetSpec *Spec = findSpec(Name);
   if (!Spec)
     reportFatalError("unknown dataset: " + Name);
-  if (ScaleDivisor < 1.0)
+  if (!(ScaleDivisor >= 1.0)) // Also rejects NaN.
     reportFatalError("dataset scale divisor must be >= 1");
 
   Dataset Result;

@@ -1,8 +1,11 @@
 #include "graph/EdgeListIO.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 using namespace atmem;
 using namespace atmem::graph;
@@ -20,6 +23,28 @@ bool graph::writeEdgeList(const CsrGraph &G, const std::string &Path) {
   return Ok;
 }
 
+namespace {
+
+/// Largest accepted vertex id: the vertex count, max id + 1, must fit in
+/// a VertexId.
+constexpr uint64_t MaxVertexId = 0xFFFFFFFEull;
+
+/// Parses one unsigned vertex id at \p Pos after optional whitespace and
+/// advances \p Pos past it. Rejects signs and ids above MaxVertexId.
+bool parseVertexId(const char *&Pos, const char *End, VertexId &Id) {
+  while (Pos < End && std::isspace(static_cast<unsigned char>(*Pos)))
+    ++Pos;
+  uint64_t Value = 0;
+  auto [Next, Ec] = std::from_chars(Pos, End, Value);
+  if (Ec != std::errc() || Value > MaxVertexId)
+    return false;
+  Pos = Next;
+  Id = static_cast<VertexId>(Value);
+  return true;
+}
+
+} // namespace
+
 std::optional<CsrGraph> graph::readEdgeList(const std::string &Path,
                                             const BuildOptions &Options) {
   std::FILE *File = std::fopen(Path.c_str(), "r");
@@ -32,8 +57,10 @@ std::optional<CsrGraph> graph::readEdgeList(const std::string &Path,
   while (std::fgets(Line, sizeof(Line), File)) {
     if (Line[0] == '#' || Line[0] == '\n')
       continue;
-    unsigned Src = 0, Dst = 0;
-    if (std::sscanf(Line, "%u %u", &Src, &Dst) != 2) {
+    const char *Pos = Line;
+    const char *End = Line + std::strlen(Line);
+    VertexId Src = 0, Dst = 0;
+    if (!parseVertexId(Pos, End, Src) || !parseVertexId(Pos, End, Dst)) {
       std::fclose(File);
       return std::nullopt;
     }

@@ -28,7 +28,8 @@ bool writeEdgeList(const CsrGraph &G, const std::string &Path);
 
 /// Loads a text edge list from \p Path and builds a CSR graph; vertex ids
 /// are taken verbatim, with the vertex count being max id + 1. Returns
-/// std::nullopt on I/O or parse errors.
+/// std::nullopt on I/O or parse errors, including an id with a sign or
+/// above 4294967294.
 std::optional<CsrGraph> readEdgeList(const std::string &Path,
                                      const BuildOptions &Options = {});
 

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace atmem;
 
 namespace {
@@ -72,6 +74,15 @@ TEST(DeathTest, MismatchedWeightsAbort) {
                                std::vector<graph::VertexId>{0},
                                std::vector<uint32_t>{1, 2}),
                "weight");
+}
+
+TEST(DeathTest, OutOfRangeEdgeEndpointAborts) {
+  EXPECT_DEATH(graph::buildCsr(2, {{0, 1}, {0, 2}}), "out of range");
+  EXPECT_DEATH(graph::buildCsr(2, {{5, 1}}), "out of range");
+}
+
+TEST(DeathTest, NanScaleDivisorAborts) {
+  EXPECT_DEATH(graph::makeDataset("pokec", std::nan("")), "scale divisor");
 }
 
 } // namespace

@@ -11,10 +11,12 @@
 #include "graph/Generators.h"
 #include "profiler/OfflineProfiler.h"
 #include "profiler/TraceFile.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 using namespace atmem;
 
@@ -298,6 +300,112 @@ TEST(CsrBinaryIOTest, DigestIsOrderSensitive) {
   uint64_t B = graph::fnv1aDigest("ba", 2);
   EXPECT_NE(A, B);
   EXPECT_EQ(graph::fnv1aDigest("ab", 2), A);
+}
+
+std::vector<char> readBytes(const std::string &Path) {
+  std::vector<char> Bytes;
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  if (!File)
+    return Bytes;
+  char Buffer[4096];
+  size_t Got;
+  while ((Got = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
+    Bytes.insert(Bytes.end(), Buffer, Buffer + Got);
+  std::fclose(File);
+  return Bytes;
+}
+
+void writeBytes(const std::string &Path, const std::vector<char> &Bytes) {
+  std::FILE *File = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(File, nullptr);
+  if (!Bytes.empty())
+    std::fwrite(Bytes.data(), 1, Bytes.size(), File);
+  std::fclose(File);
+}
+
+/// The payload digest of \p G, in file order.
+uint64_t payloadDigest(const graph::CsrGraph &G) {
+  uint64_t Digest =
+      graph::fnv1aDigest(G.rowOffsets().data(),
+                         G.rowOffsets().size() * sizeof(uint64_t));
+  Digest = graph::fnv1aDigest(
+      G.cols().data(), G.cols().size() * sizeof(graph::VertexId), Digest);
+  return graph::fnv1aDigest(G.weights().data(),
+                            G.weights().size() * sizeof(uint32_t), Digest);
+}
+
+TEST(CsrBinaryIOTest, HeaderCountsMustMatchFileSize) {
+  // Each header alone, with no payload. The reader used to allocate what
+  // the header declared: 2^61 edges threw std::length_error, 2^38 edges
+  // threw std::bad_alloc under a 4 GB address-space cap, 2^32 vertices
+  // truncated to 0, and 2^32 - 1 vertices asked for 32 GiB of offsets.
+  struct Counts {
+    uint64_t NumVertices, NumEdges;
+  };
+  const Counts Hostile[] = {{1, 1ull << 61},
+                            {1, 1ull << 38},
+                            {1ull << 32, 0},
+                            {(1ull << 32) - 1, 0}};
+  std::string Path = tempPath("csr_hostile_header.bin");
+  for (const Counts &C : Hostile) {
+    graph::CsrBinaryHeader Header;
+    Header.NumVertices = C.NumVertices;
+    Header.NumEdges = C.NumEdges;
+    const char *Raw = reinterpret_cast<const char *>(&Header);
+    writeBytes(Path, std::vector<char>(Raw, Raw + sizeof(Header)));
+    EXPECT_FALSE(graph::readCsrBinary(Path).has_value())
+        << C.NumVertices << " vertices, " << C.NumEdges << " edges";
+  }
+
+  // A valid file one byte short or one byte long.
+  ASSERT_TRUE(graph::writeCsrBinary(
+      graph::buildCsr(4, {{0, 1}, {1, 2}, {2, 3}}), Path));
+  std::vector<char> Bytes = readBytes(Path);
+  ASSERT_TRUE(graph::readCsrBinary(Path).has_value());
+  std::vector<char> Short(Bytes.begin(), Bytes.end() - 1);
+  writeBytes(Path, Short);
+  EXPECT_FALSE(graph::readCsrBinary(Path).has_value());
+  std::vector<char> Long = Bytes;
+  Long.push_back(0);
+  writeBytes(Path, Long);
+  EXPECT_FALSE(graph::readCsrBinary(Path).has_value());
+  std::remove(Path.c_str());
+}
+
+TEST(CsrBinaryIOTest, MutationFuzzNeverLoadsADifferentGraph) {
+  // Every truncation and 1,000 seeded single-byte flips of a small
+  // weighted file: each load fails cleanly or returns the original graph.
+  graph::CsrGraph G = graph::withRandomWeights(
+      graph::buildCsr(6, {{0, 1}, {0, 2}, {1, 2}, {2, 0}, {3, 4}, {4, 3},
+                          {4, 5}, {5, 0}}),
+      1000, 9);
+  std::string Path = tempPath("csr_fuzz_source.bin");
+  ASSERT_TRUE(graph::writeCsrBinary(G, Path));
+  std::vector<char> Original = readBytes(Path);
+  ASSERT_GT(Original.size(), sizeof(graph::CsrBinaryHeader));
+  uint64_t Want = payloadDigest(G);
+
+  std::string MutantPath = tempPath("csr_fuzz_mutant.bin");
+  for (size_t Len = 0; Len < Original.size(); ++Len) {
+    writeBytes(MutantPath,
+               std::vector<char>(Original.begin(), Original.begin() + Len));
+    EXPECT_FALSE(graph::readCsrBinary(MutantPath).has_value())
+        << "prefix of " << Len << " bytes";
+  }
+
+  Xoshiro256 Rng(4099);
+  for (int Iter = 0; Iter < 1000; ++Iter) {
+    std::vector<char> Mutant = Original;
+    uint64_t Pos = Rng.nextBounded(Mutant.size());
+    Mutant[Pos] = static_cast<char>(Mutant[Pos] ^ (1 + Rng.nextBounded(255)));
+    writeBytes(MutantPath, Mutant);
+    auto Loaded = graph::readCsrBinary(MutantPath);
+    if (Loaded) {
+      EXPECT_EQ(payloadDigest(*Loaded), Want) << "flip at byte " << Pos;
+    }
+  }
+  std::remove(Path.c_str());
+  std::remove(MutantPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//
