@@ -62,9 +62,8 @@ void bench::addCommonOptions(OptionParser &Parser) {
 bool bench::readCommonOptions(const OptionParser &Parser, BenchOptions &Out) {
   Out.ScaleDivisor = Parser.getDouble("scale");
   Out.Quick = Parser.getFlag("quick");
-  Out.SimThreads =
-      std::max<uint64_t>(Parser.getUnsigned("sim-threads"), 1);
-  Out.Jobs = static_cast<uint32_t>(Parser.getUnsigned("jobs"));
+  Out.SimThreads = std::max(Parser.getUnsigned32("sim-threads"), 1u);
+  Out.Jobs = Parser.getUnsigned32("jobs");
   if (Out.Jobs == 0) {
     Out.Jobs = std::max(1u, std::thread::hardware_concurrency());
   }

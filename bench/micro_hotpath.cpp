@@ -227,8 +227,7 @@ int main(int Argc, const char **Argv) {
     return 1;
 
   bool Quick = Parser.getFlag("quick");
-  auto SimThreads =
-      static_cast<uint32_t>(Parser.getUnsigned("sim-threads"));
+  uint32_t SimThreads = Parser.getUnsigned32("sim-threads");
   auto Repeats = static_cast<uint32_t>(Parser.getUnsigned("repeats"));
   if (Repeats == 0)
     Repeats = Quick ? 3 : 5;

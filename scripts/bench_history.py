@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Accumulates microbenchmark trajectory points and diffs the newest pair.
+"""Accumulates benchmark trajectory points and diffs the newest pair.
 
 The perf-smoke job writes one BENCH_<name>.json point per run (see
 scripts/perf_smoke.sh). This script folds those points into an append-only
 JSONL history keyed by (bench, cpu_model, host_hardware_threads) — numbers
 only compare within one host class — and reports how the newest point
-moved against its predecessor: every *_per_sec throughput metric plus
-peak_rss_bytes.
+moved against its predecessor: every *_per_sec / *_per_s throughput
+metric, plus peak_rss_bytes.
+
+BENCH_e2e.json, the committed end-to-end record (perfbench medians of a
+parent/change A/B, see its "protocol" field), folds in as one point of
+the change side: every workload's end-to-end metric, named
+"<workload>.<metric>", in "rates" when higher is better and in "costs"
+(times, peak RSS) when lower is better.
 
 The report is informational: regressions are printed but never fail the
 run (the hard gate lives in perf_smoke.sh where baselines are committed
@@ -25,19 +31,37 @@ import sys
 import time
 
 
+RATE_SUFFIXES = ("_per_sec", "_per_s")
+
+
 def flatten_rates(doc, prefix=""):
-    """Yields (dotted_path, value) for every numeric *_per_sec metric."""
+    """Yields (dotted_path, value) for every numeric throughput metric."""
     for key, value in sorted(doc.items()):
         path = prefix + key
         if isinstance(value, dict):
             yield from flatten_rates(value, path + ".")
-        elif isinstance(value, (int, float)) and key.endswith("_per_sec"):
+        elif (isinstance(value, (int, float)) and
+              key.endswith(RATE_SUFFIXES)):
             yield path, float(value)
+
+
+def e2e_metrics(doc):
+    """Splits an end-to-end record's change medians into (rates, costs)."""
+    rates, costs = {}, {}
+    for workload, entry in sorted(doc["workloads"].items()):
+        for metric, stats in sorted(entry["metrics"].items()):
+            side = rates if stats["better"] == "higher" else costs
+            side[f"{workload}.{metric}"] = float(stats["change"]["median"])
+    return rates, costs
 
 
 def point_from_bench(path):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if "workloads" in doc:
+        rates, costs = e2e_metrics(doc)
+    else:
+        rates, costs = dict(flatten_rates(doc)), {}
     point = {
         "bench": doc.get("bench", path),
         "git_sha": doc.get("git_sha", "unknown"),
@@ -46,7 +70,8 @@ def point_from_bench(path):
         "quick": doc.get("quick", False),
         "peak_rss_bytes": doc.get("peak_rss_bytes", 0),
         "recorded_unix": int(time.time()),
-        "rates": dict(flatten_rates(doc)),
+        "rates": rates,
+        "costs": costs,
     }
     return point
 
@@ -94,17 +119,18 @@ def diff_newest_pair(points):
         bench, cpu, threads = key
         print(f"{bench} [{cpu}, {threads} threads]: "
               f"{old['git_sha']} -> {new['git_sha']}")
-        for name in sorted(set(old.get("rates", {})) |
-                           set(new.get("rates", {}))):
-            old_rate = old.get("rates", {}).get(name)
-            new_rate = new.get("rates", {}).get(name)
-            if old_rate is None or new_rate is None:
-                print(f"  {name}: only one side recorded it")
-                continue
-            delta = pct(new_rate, old_rate)
-            marker = "  <-- regression?" if delta <= -10.0 else ""
-            print(f"  {name}: {old_rate:.3e} -> {new_rate:.3e} "
-                  f"({delta:+.1f}%){marker}")
+        # Rates regress when they fall, costs when they grow.
+        for kind, sign in (("rates", 1.0), ("costs", -1.0)):
+            olds, news = old.get(kind, {}), new.get(kind, {})
+            for name in sorted(set(olds) | set(news)):
+                old_value, new_value = olds.get(name), news.get(name)
+                if old_value is None or new_value is None:
+                    print(f"  {name}: only one side recorded it")
+                    continue
+                delta = pct(new_value, old_value)
+                marker = "  <-- regression?" if sign * delta <= -10.0 else ""
+                print(f"  {name}: {old_value:.3e} -> {new_value:.3e} "
+                      f"({delta:+.1f}%){marker}")
         old_rss = old.get("peak_rss_bytes", 0)
         new_rss = new.get("peak_rss_bytes", 0)
         delta = pct(new_rss, old_rss)

@@ -7,8 +7,9 @@
 # Regression gate: if a committed BENCH_hotpath.json baseline exists and
 # was recorded on the same host class (same cpu_model and
 # host_hardware_threads — CI runners differ wildly, numbers only compare
-# within a class), the run fails when the batched drain rate drops more
-# than 20% below it. micro_hotpath repeats each section and reports
+# within a class), the run fails when the tracked-access rate (the
+# per-access LLC probe) or the batched drain rate drops more than 20%
+# below it. micro_hotpath repeats each section and reports
 # min/median/max; the legacy scalar keys the gate reads carry the median,
 # so old and new baselines stay comparable.
 #
@@ -76,14 +77,20 @@ if "unknown" in host_class(base) or host_class(base) != host_class(new):
           file=sys.stderr)
     sys.exit(42)
 
-old = base["miss_drain"]["batched"]["misses_per_sec"]
-cur = new["miss_drain"]["batched"]["misses_per_sec"]
-floor = 0.8 * old
-print("perf_smoke: batched drain %.0f/s vs baseline %.0f/s (floor %.0f/s)"
-      % (cur, old, floor))
-if cur < floor:
-    print("perf_smoke: batched drain regressed more than 20%% below the "
-          "committed baseline (git_sha %s)" % base.get("git_sha", "unknown"),
-          file=sys.stderr)
-    sys.exit(1)
+failed = False
+for label, keys in (("tracked access", ("tracked_access", "accesses_per_sec")),
+                    ("batched drain",
+                     ("miss_drain", "batched", "misses_per_sec"))):
+    old, cur = base, new
+    for key in keys:
+        old, cur = old[key], cur[key]
+    floor = 0.8 * old
+    print("perf_smoke: %s %.0f/s vs baseline %.0f/s (floor %.0f/s)"
+          % (label, cur, old, floor))
+    if cur < floor:
+        print("perf_smoke: %s regressed more than 20%% below the committed "
+              "baseline (git_sha %s)" % (label, base.get("git_sha", "unknown")),
+              file=sys.stderr)
+        failed = True
+sys.exit(1 if failed else 0)
 EOF

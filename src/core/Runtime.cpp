@@ -8,6 +8,7 @@
 #include "fault/FaultInjection.h"
 #include "obs/Trace.h"
 #include "sim/Tlb.h"
+#include "support/Error.h"
 #include "support/Logging.h"
 
 #include <algorithm>
@@ -16,11 +17,12 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
+#include <string>
 
 using namespace atmem;
 using namespace atmem::core;
 
-thread_local Runtime::ContextBinding Runtime::Bound;
+constinit thread_local Runtime::ContextBinding Runtime::Bound;
 
 namespace {
 
@@ -191,13 +193,16 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
     : Config(std::move(ConfigIn)), M(Config.Machine), Registry(M),
       Profiler(Registry, Config.Profiler), AtmemMig(Registry),
       MbindMig(Registry) {
+  // Each engine thread models at least one set of the LLC, so together
+  // the shards never model more cache than configured.
+  if (Config.SimThreads > M.llc().sets())
+    reportFatalError("SimThreads " + std::to_string(Config.SimThreads) +
+                     " exceeds the LLC's " + std::to_string(M.llc().sets()) +
+                     " sets");
   if (Config.SimThreads > 1) {
-    // Each thread's shard models its partition of the shared LLC; never
-    // shrink below one fully associative set.
+    // Each thread's shard models its partition of the shared LLC.
     sim::CacheConfig Shard = Config.Machine.Cache;
-    Shard.SizeBytes =
-        std::max<uint64_t>(Shard.SizeBytes / Config.SimThreads,
-                           static_cast<uint64_t>(Shard.Ways) * Shard.LineBytes);
+    Shard.SizeBytes /= Config.SimThreads;
     Contexts.reserve(Config.SimThreads);
     for (uint32_t T = 0; T < Config.SimThreads; ++T)
       Contexts.push_back(std::make_unique<SimContext>(Shard));
@@ -279,6 +284,17 @@ Runtime::~Runtime() {
   // it reads.
   if (StatsServer)
     StatsServer->stop();
+}
+
+void Runtime::onMiss(const TrackHandle &Handle, uint64_t Offset,
+                     uint64_t Va) {
+  M.llc().fill(Va);
+  ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
+  Profiler.notifyMiss(Va);
+  if (MissTrace)
+    MissTrace->record(Va);
+  if (ReplayTlb)
+    replayTlbAccess(Va);
 }
 
 void Runtime::parallelTracked(uint64_t Begin, uint64_t End,

@@ -106,7 +106,8 @@ struct RuntimeConfig {
   /// regions (Runtime::parallelTracked). 1 (the default) keeps the serial
   /// engine and is bit-identical to the pre-sharding runtime; T > 1 gives
   /// each thread a private LLC shard of SizeBytes / T plus private stats
-  /// and miss buffers, merged deterministically at endIteration(). The
+  /// and miss buffers, merged deterministically at endIteration(). T above
+  /// the LLC's set count is a fatal error in the constructor. The
   /// runtime's only host-parallelism setting: the migrator and the miss
   /// drain run on the calling thread.
   uint32_t SimThreads = 1;
@@ -181,9 +182,10 @@ public:
   /// Hot path: one tracked access at byte offset \p Offset of the object
   /// behind \p Handle. Inside a parallelTracked() region the access goes
   /// to the calling thread's private SimContext shard, lock-free;
-  /// otherwise it is inline: flag test, LLC probe, per-tier accounting,
-  /// and a profiler feed on misses.
-  void onAccess(const TrackHandle &Handle, uint64_t Offset) {
+  /// otherwise it is inline: flag test and LLC probe, with the fill,
+  /// per-tier accounting and profiler feed of a miss out of line.
+  [[gnu::always_inline]] void onAccess(const TrackHandle &Handle,
+                                       uint64_t Offset) {
     if (!TrackingEnabled)
       return;
     if (Bound.Owner == this) {
@@ -192,16 +194,11 @@ public:
     }
     ++Stats.Accesses;
     uint64_t Va = Handle.VaBase + Offset;
-    if (M.llc().access(Va)) {
+    if (M.llc().probe(Va)) {
       ++Stats.LlcHits;
       return;
     }
-    ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
-    Profiler.notifyMiss(Va);
-    if (MissTrace)
-      MissTrace->record(Va);
-    if (ReplayTlb)
-      replayTlbAccess(Va);
+    onMiss(Handle, Offset, Va);
   }
 
   /// \name Parallel tracked execution
@@ -264,6 +261,11 @@ public:
   analyzer::AnalyzerConfig &analyzerConfig() { return Config.Analyzer; }
 
 private:
+  /// Miss half of the serial onAccess(): fills the LLC and feeds the
+  /// per-tier counts, the profiler, the miss trace and the TLB replay.
+  [[gnu::noinline]] void onMiss(const TrackHandle &Handle, uint64_t Offset,
+                                uint64_t Va);
+
   /// Replays \p Va against the TLB through the epoch-validated translation
   /// cache (identical verdicts to a direct page-table walk).
   void replayTlbAccess(uint64_t Va);
@@ -314,7 +316,9 @@ private:
     Runtime *Owner = nullptr;
     SimContext *Ctx = nullptr;
   };
-  static thread_local ContextBinding Bound;
+  /// constinit: accesses read the binding directly instead of calling a
+  /// TLS init wrapper first.
+  static constinit thread_local ContextBinding Bound;
 
   RuntimeConfig Config;
   sim::Machine M;

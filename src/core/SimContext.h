@@ -51,16 +51,15 @@ public:
   /// Lock-free hot path: probe the private LLC shard and account the
   /// access; misses are optionally buffered for the deterministic
   /// end-of-iteration drain into the profiler / trace / TLB replay.
-  void onAccess(const TrackHandle &Handle, uint64_t Offset) {
+  [[gnu::always_inline]] void onAccess(const TrackHandle &Handle,
+                                       uint64_t Offset) {
     ++Stats.Accesses;
     uint64_t Va = Handle.VaBase + Offset;
-    if (Shard.access(Va)) {
+    if (Shard.probe(Va)) {
       ++Stats.LlcHits;
       return;
     }
-    ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
-    if (BufferMisses)
-      MissBuffer.push_back(Va);
+    onMiss(Handle, Offset, Va);
   }
 
   sim::AccessStats &stats() { return Stats; }
@@ -112,6 +111,14 @@ public:
   }
 
 private:
+  [[gnu::noinline]] void onMiss(const TrackHandle &Handle, uint64_t Offset,
+                                uint64_t Va) {
+    Shard.fill(Va);
+    ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
+    if (BufferMisses)
+      MissBuffer.push_back(Va);
+  }
+
   sim::CacheSim Shard;
   sim::AccessStats Stats;
   std::vector<uint64_t> MissBuffer;

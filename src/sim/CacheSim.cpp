@@ -1,9 +1,10 @@
 #include "sim/CacheSim.h"
 
-#include "sim/SimdProbe.h"
+#include "support/Error.h"
 
 #include <bit>
 #include <cassert>
+#include <string>
 
 using namespace atmem;
 using namespace atmem::sim;
@@ -14,78 +15,30 @@ static uint32_t floorLog2(uint64_t Value) {
 }
 
 CacheSim::CacheSim(const CacheConfig &Config)
-    : Ways(Config.Ways), LineBytes(Config.LineBytes),
-      LineShift(floorLog2(Config.LineBytes)) {
-  assert((Config.LineBytes & (Config.LineBytes - 1)) == 0 &&
-         "line size must be a power of two");
-  uint64_t Lines = Config.SizeBytes / Config.LineBytes;
-  uint64_t WantedSets = Lines / Config.Ways;
+    : Ways(Config.Ways), LineBytes(Config.LineBytes) {
+  if (Ways == 0 || Ways > MaxWays)
+    reportFatalError("LLC model supports 1 to " + std::to_string(MaxWays) +
+                     " ways, got " + std::to_string(Ways));
+  if (!std::has_single_bit(LineBytes))
+    reportFatalError("LLC line size must be a power of two, got " +
+                     std::to_string(LineBytes));
+  LineShift = floorLog2(LineBytes);
+  uint64_t Lines = Config.SizeBytes / LineBytes;
+  uint64_t WantedSets = Lines / Ways;
   // Round the set count down to a power of two so indexing is a mask.
   Sets = WantedSets == 0 ? 1 : (1u << floorLog2(WantedSets));
+  SetMask = Sets - 1;
   SetShift = floorLog2(Sets);
-  Tags.assign(static_cast<size_t>(Sets) * Ways, ~0ull);
-  Stamps.assign(static_cast<size_t>(Sets) * Ways, 0);
-}
-
-bool CacheSim::access(uint64_t Va) {
-  uint64_t Line = Va >> LineShift;
-  uint32_t Set = static_cast<uint32_t>(Line & (Sets - 1));
-  uint64_t Tag = Line >> SetShift;
-  uint64_t *TagRow = Tags.data() + static_cast<size_t>(Set) * Ways;
-  uint64_t *StampRow = Stamps.data() + static_cast<size_t>(Set) * Ways;
-#if defined(__GNUC__) || defined(__clang__)
-  // The stamp row is only touched after the tag probe resolves; start the
-  // load early so a hit's stamp update doesn't stall.
-  __builtin_prefetch(StampRow, 1);
-#endif
-  ++Clock;
-
-  // Hit probe: tag-only scan with no victim bookkeeping — hits are the
-  // overwhelmingly common case on warm sets. The shipped geometries are
-  // multiples of four ways, so the scan runs in 4-way SIMD groups; the
-  // group scan order plus probeWay4's lowest-match rule preserve the
-  // scalar loop's first-match semantics exactly.
-#if ATMEM_SIMD_PROBE
-  if ((Ways & 3u) == 0) {
-    for (uint32_t G = 0; G < Ways; G += 4) {
-      int Way = probeWay4(TagRow + G, Tag);
-      if (Way >= 0) {
-        StampRow[G + static_cast<uint32_t>(Way)] = Clock;
-        ++Hits;
-        return true;
-      }
-    }
-  } else
-#endif
-    for (uint32_t I = 0; I < Ways; ++I) {
-      if (TagRow[I] == Tag) {
-        StampRow[I] = Clock;
-        ++Hits;
-        return true;
-      }
-    }
-
-  // Miss: same victim rule as the historical fused loop — the last invalid
-  // way if any, otherwise the first way holding the minimal stamp — so
-  // replacement decisions stay bit-identical.
-  uint32_t Victim = 0;
-  uint64_t VictimStamp = ~0ull;
-  for (uint32_t I = 0; I < Ways; ++I) {
-    if (TagRow[I] == ~0ull) {
-      Victim = I;
-      VictimStamp = 0;
-    } else if (StampRow[I] < VictimStamp) {
-      Victim = I;
-      VictimStamp = StampRow[I];
-    }
-  }
-  ++Misses;
-  TagRow[Victim] = Tag;
-  StampRow[Victim] = Clock;
-  return false;
+  Meta.resize(Sets);
+  Tags.resize(static_cast<size_t>(Sets) * MaxWays);
+  flushAll();
 }
 
 void CacheSim::flushAll() {
   for (uint64_t &Tag : Tags)
     Tag = ~0ull;
+  // Stale fingerprints stay: their ways' tags no longer match anything.
+  for (SetRows &Rows : Meta)
+    for (uint32_t W = 0; W < MaxWays; ++W)
+      Rows.Rank[W] = W < Ways ? static_cast<uint8_t>(W) : PaddingRank;
 }

@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Vectorized 4-way tag probe shared by the LLC model and the TLB model.
-/// Both keep their set storage as structure-of-arrays u64 rows, so one
-/// probe is "which of these four contiguous 64-bit keys equals mine" —
-/// exactly two 128-bit compares. The SSE2 path emulates the 64-bit
+/// Vectorized 4-way VPN probe of the TLB model. The TLB keeps its set
+/// storage as structure-of-arrays u64 rows, so one probe is "which of
+/// these four contiguous 64-bit keys equals mine" — exactly two 128-bit
+/// compares. (The LLC model probes one-byte tag fingerprints instead; see
+/// CacheSim.h.) The SSE2 path emulates the 64-bit
 /// equality (SSE4.1's pcmpeqq is above the x86-64 baseline) by matching
 /// both 32-bit halves; the NEON path uses the native vceqq_u64.
 ///

@@ -147,9 +147,9 @@ private:
   uint64_t Clock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  /// Structure-of-arrays ways, like CacheSim: the probe touches only the
-  /// VPN row (one cache line covers a whole set), stamps only on the
-  /// update that follows.
+  /// Structure-of-arrays ways: the probe touches only the VPN row (one
+  /// cache line covers a whole set), stamps only on the update that
+  /// follows.
   std::vector<uint64_t> Vpns;   ///< InvalidVpn marks an empty way.
   std::vector<uint64_t> Stamps;
 };

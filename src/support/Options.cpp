@@ -3,7 +3,9 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 using namespace atmem;
 
@@ -98,6 +100,14 @@ std::string OptionParser::getString(const std::string &Name) const {
 
 uint64_t OptionParser::getUnsigned(const std::string &Name) const {
   return parseUnsigned(getString(Name));
+}
+
+uint32_t OptionParser::getUnsigned32(const std::string &Name) const {
+  uint64_t Value = getUnsigned(Name);
+  if (Value > UINT32_MAX)
+    reportFatalError("option '--" + Name + "' value " + std::to_string(Value) +
+                     " does not fit in 32 bits");
+  return static_cast<uint32_t>(Value);
 }
 
 double OptionParser::getDouble(const std::string &Name) const {

@@ -49,6 +49,9 @@ public:
 
   std::string getString(const std::string &Name) const;
   uint64_t getUnsigned(const std::string &Name) const;
+  /// getUnsigned() for 32-bit settings: aborts with a fatal error when the
+  /// value does not fit, instead of letting the caller's cast wrap it.
+  uint32_t getUnsigned32(const std::string &Name) const;
   double getDouble(const std::string &Name) const;
   bool getFlag(const std::string &Name) const;
 

@@ -10,10 +10,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Kernel.h"
+#include "core/Runtime.h"
 #include "graph/CsrGraph.h"
 #include "graph/Datasets.h"
 #include "mem/DataObject.h"
+#include "sim/CacheSim.h"
+#include "sim/MachineConfig.h"
 #include "support/Error.h"
+#include "support/Options.h"
 #include "support/TablePrinter.h"
 
 #include <gtest/gtest.h>
@@ -83,6 +87,39 @@ TEST(DeathTest, OutOfRangeEdgeEndpointAborts) {
 
 TEST(DeathTest, NanScaleDivisorAborts) {
   EXPECT_DEATH(graph::makeDataset("pokec", std::nan("")), "scale divisor");
+}
+
+// A set's recency ranks and fingerprints are one 16-byte row each.
+TEST(DeathTest, LlcWiderThanSixteenWaysAborts) {
+  sim::CacheConfig Config;
+  Config.SizeBytes = 32 * 64 * 4;
+  Config.Ways = 32;
+  Config.LineBytes = 64;
+  EXPECT_DEATH(sim::CacheSim Cache(Config), "1 to 16 ways, got 32");
+  Config.Ways = 0;
+  EXPECT_DEATH(sim::CacheSim Cache(Config), "1 to 16 ways, got 0");
+}
+
+// Each engine thread models at least one LLC set, so more threads than
+// sets would model more cache than configured. The check runs before any
+// shard or thread exists; with a 4-set LLC and 5 threads even a missing
+// check starts only 5 threads.
+TEST(DeathTest, MoreSimThreadsThanLlcSetsAborts) {
+  core::RuntimeConfig Config;
+  Config.Machine = sim::nvmDramTestbed(1.0 / 256);
+  Config.Machine.Cache.SizeBytes = 4 * 16 * 64; // 4 sets x 16 ways.
+  Config.SimThreads = 5;
+  EXPECT_DEATH(core::Runtime Rt(Config),
+               "SimThreads 5 exceeds the LLC's 4 sets");
+}
+
+TEST(DeathTest, OptionWiderThan32BitsAborts) {
+  OptionParser Parser("tool");
+  Parser.addUnsigned("sim-threads", 1, "threads");
+  const char *Argv[] = {"tool", "--sim-threads=4294967296"};
+  ASSERT_TRUE(Parser.parse(2, Argv));
+  EXPECT_EQ(Parser.getUnsigned("sim-threads"), 4294967296u);
+  EXPECT_DEATH(Parser.getUnsigned32("sim-threads"), "does not fit in 32 bits");
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "mem/AddressSpace.h"
 #include "mem/DataObjectRegistry.h"
 #include "profiler/SamplingProfiler.h"
 #include "profiler/TraceFile.h"
@@ -20,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -301,24 +304,24 @@ TEST(HotPathTranslationCacheTest, TransparentAcrossMutations) {
 // CacheSim / TLB: split probe+victim scans vs the fused reference loops.
 //===----------------------------------------------------------------------===//
 
-/// The pre-PR fused LLC loop, kept as an executable specification: walk
-/// the set once, noting a hit or accumulating the victim (invalid way
-/// preferred — last invalid wins via VictimStamp 0 — else strictly
-/// minimal stamp, first occurrence).
+/// The historical stamp-based LLC loop, kept as an executable
+/// specification: walk the set once, noting a hit or accumulating the
+/// victim (invalid way preferred — last invalid wins via VictimStamp 0 —
+/// else strictly minimal stamp, first occurrence). Like CacheSim it rounds
+/// the set count down to a power of two; flushAll() clears the valid bits
+/// and leaves the stale stamps behind, as the stamp model did.
 class ReferenceLru {
 public:
   ReferenceLru(const sim::CacheConfig &Config)
       : LineBytes(Config.LineBytes), Ways(Config.Ways),
-        Sets(std::max<uint32_t>(
-            1, static_cast<uint32_t>(Config.SizeBytes /
-                                     (uint64_t{Config.Ways} *
-                                      Config.LineBytes)))),
-        Tags(uint64_t{Sets} * Ways, ~0ull),
-        Stamps(uint64_t{Sets} * Ways, 0), Valid(uint64_t{Sets} * Ways, 0) {}
+        Sets(std::bit_floor(std::max<uint64_t>(
+            1, Config.SizeBytes / (uint64_t{Config.Ways} * Config.LineBytes)))),
+        Tags(Sets * Ways, ~0ull), Stamps(Sets * Ways, 0),
+        Valid(Sets * Ways, 0) {}
 
   bool access(uint64_t Va) {
     uint64_t Line = Va / LineBytes;
-    uint64_t Base = uint64_t{static_cast<uint32_t>(Line % Sets)} * Ways;
+    uint64_t Base = (Line % Sets) * Ways;
     ++Clock;
     uint32_t VictimIdx = 0;
     uint64_t VictimStamp = ~0ull;
@@ -343,8 +346,13 @@ public:
     return false;
   }
 
+  void flushAll() { std::fill(Valid.begin(), Valid.end(), 0); }
+
+  uint64_t sets() const { return Sets; }
+
 private:
-  uint32_t LineBytes, Ways, Sets;
+  uint32_t LineBytes, Ways;
+  uint64_t Sets;
   uint64_t Clock = 0;
   std::vector<uint64_t> Tags, Stamps;
   std::vector<uint8_t> Valid;
@@ -368,6 +376,65 @@ TEST(HotPathCacheSimTest, SplitProbeMatchesFusedReference) {
   }
   EXPECT_GT(Cache.hits(), 0u);
   EXPECT_GT(Cache.misses(), 0u);
+}
+
+// The ranked sets against the stamp oracle on every way count up to 16
+// over the shipped LLC sizes: the divisor-256 NVM LLC (143 wanted sets,
+// 128 modelled at 16 ways), its halves for two engine shards, and the
+// divisor-256 MCDRAM LLC. Addresses sit above AddressSpace::BaseVa like
+// registered objects, the caches are flushed mid-stream, and one stream
+// keeps hitting a single set with tags that share their low byte, so most
+// fingerprint matches are false and the probe must check the full tag.
+TEST(HotPathCacheSimTest, RankedSetsMatchStampReferenceOnShippedGeometries) {
+  const uint64_t Sizes[] = {
+      sim::nvmDramTestbed(1.0 / 256).Cache.SizeBytes,
+      sim::nvmDramTestbed(1.0 / 256).Cache.SizeBytes / 2,
+      sim::mcdramDramTestbed(1.0 / 256).Cache.SizeBytes};
+  for (uint64_t Size : Sizes)
+    for (uint32_t Ways : {2u, 4u, 8u, 16u}) {
+      SCOPED_TRACE("size " + std::to_string(Size) + ", " +
+                   std::to_string(Ways) + " ways");
+      sim::CacheConfig Config;
+      Config.SizeBytes = Size;
+      Config.Ways = Ways;
+      Config.LineBytes = 64;
+      sim::CacheSim Cache(Config);
+      ReferenceLru Ref(Config);
+      ASSERT_EQ(Cache.sets(), Ref.sets());
+      uint32_t SetShift = static_cast<uint32_t>(std::countr_zero(Cache.sets()));
+      auto lineVa = [&](uint64_t Tag, uint64_t Set) {
+        return mem::AddressSpace::BaseVa +
+               (((Tag << SetShift) | Set) << 6);
+      };
+
+      Xoshiro256 Rng(Size + Ways);
+      uint64_t RefHits = 0;
+      for (int I = 0; I < 120000; ++I) {
+        if (I == 40000 || I == 80000) {
+          Cache.flushAll();
+          Ref.flushAll();
+        }
+        uint64_t Va;
+        switch (Rng.nextBounded(3)) {
+        case 0: // Hot window about the cache's size: hits and LRU churn.
+          Va = mem::AddressSpace::BaseVa + Rng.nextBounded(Size);
+          break;
+        case 1: // Cold footprint: victim choice among valid ways.
+          Va = mem::AddressSpace::BaseVa + Rng.nextBounded(Size * 64);
+          break;
+        default: // 2*Ways tags of set 3 sharing the fingerprint byte 0x2a.
+          Va = lineVa(0x2a + 256 * Rng.nextBounded(2 * Ways), 3);
+          break;
+        }
+        bool Hit = Ref.access(Va);
+        RefHits += Hit;
+        ASSERT_EQ(Hit, Cache.access(Va)) << "access " << I;
+      }
+      EXPECT_EQ(Cache.hits(), RefHits);
+      EXPECT_EQ(Cache.hits() + Cache.misses(), 120000u);
+      EXPECT_GT(Cache.hits(), 0u);
+      EXPECT_GT(Cache.misses(), 0u);
+    }
 }
 
 /// The pre-PR fused TLB set walk: hit updates the stamp; otherwise the

@@ -77,17 +77,17 @@ TEST(CacheSimTest, LruKeepsHotLine) {
 }
 
 TEST(CacheSimTest, LruStampsSurviveClockWraparound) {
-  // Regression: recency stamps were stored as uint32_t, so once the access
-  // clock crossed 2^32 a freshly touched line truncated to stamp 0 and was
-  // treated as the LRU victim, inverting the replacement order.
+  // Regression: recency used to be a uint32_t stamp from a global access
+  // clock, so past 2^32 accesses a freshly touched line looked oldest and
+  // the replacement order inverted. Recency is now a per-set rank with no
+  // clock to wrap; the eviction order below is what the fix pinned.
   CacheConfig Config;
   Config.SizeBytes = 2 * 64; // One set, 2 ways.
   Config.Ways = 2;
   Config.LineBytes = 64;
   CacheSim Cache(Config);
-  Cache.setClockForTesting((1ull << 32) - 2);
-  Cache.access(0 * 64); // A: stamp 2^32 - 1 (all ones in 32 bits).
-  Cache.access(1 * 64); // B: stamp 2^32 (truncates to 0 in 32 bits).
+  Cache.access(0 * 64); // A
+  Cache.access(1 * 64); // B
   Cache.access(2 * 64); // C must evict A, the true LRU line, not B.
   EXPECT_TRUE(Cache.access(1 * 64));
   EXPECT_FALSE(Cache.access(0 * 64));

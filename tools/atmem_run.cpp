@@ -229,8 +229,7 @@ int main(int Argc, const char **Argv) {
     Config.MeasuredIterations =
         static_cast<uint32_t>(Parser.getUnsigned("iterations"));
     Config.MeasureTlb = Parser.getFlag("tlb");
-    Config.SimThreads = static_cast<uint32_t>(
-        std::max<uint64_t>(Parser.getUnsigned("sim-threads"), 1));
+    Config.SimThreads = std::max(Parser.getUnsigned32("sim-threads"), 1u);
     Config.OptimizeEachIteration = Parser.getFlag("reoptimize");
     Config.Telemetry = Telemetry;
     Config.RankerModelPath = Parser.getString("ranker-model");
