@@ -1,10 +1,11 @@
 #include "graph/CsrGraph.h"
 
 #include "support/Error.h"
+#include "support/Parallel.h"
 #include "support/Prng.h"
 
 #include <algorithm>
-#include <cassert>
+#include <memory>
 
 using namespace atmem;
 using namespace atmem::graph;
@@ -51,81 +52,169 @@ double CsrGraph::topDegreeEdgeShare(double Fraction) const {
   return static_cast<double>(Sum) / static_cast<double>(numEdges());
 }
 
+namespace {
+
+/// Turns the per-slice key counts in \p Counts (slice S's at
+/// Counts[S * NumKeys + K]) into each slice's first position within each
+/// key's group, and writes each group's start into \p Offsets
+/// (NumKeys + 1 entries). Groups follow key order and, within a group,
+/// slices follow slice order, so a scatter through these cursors is a
+/// stable counting sort whatever the slice count.
+void prefixSumBySlice(uint32_t *Counts, unsigned Slices, uint32_t NumKeys,
+                      std::vector<uint64_t> &Offsets) {
+  Offsets[0] = 0;
+  for (uint32_t Key = 0; Key < NumKeys; ++Key) {
+    uint64_t Group = 0;
+    for (unsigned Slice = 0; Slice < Slices; ++Slice) {
+      uint32_t &Count = Counts[uint64_t(Slice) * NumKeys + Key];
+      uint64_t Before = Group;
+      Group += Count;
+      Count = static_cast<uint32_t>(Before);
+    }
+    if (Group > UINT32_MAX)
+      reportFatalError("a vertex has 2^32 or more edges");
+    Offsets[Key + 1] = Offsets[Key] + Group;
+  }
+}
+
+/// Keeps one copy of each repeated neighbor in every (sorted) row.
+CsrGraph deduplicate(const CsrGraph &G) {
+  uint32_t NumVertices = G.numVertices();
+  const std::vector<uint64_t> &RowOffsets = G.rowOffsets();
+  const std::vector<VertexId> &Cols = G.cols();
+  std::vector<uint64_t> NewOffsets(NumVertices + 1, 0);
+  std::vector<VertexId> NewCols;
+  NewCols.reserve(Cols.size());
+  for (uint32_t V = 0; V < NumVertices; ++V) {
+    VertexId Last = ~0u;
+    for (uint64_t I = RowOffsets[V]; I < RowOffsets[V + 1]; ++I) {
+      if (Cols[I] == Last)
+        continue;
+      NewCols.push_back(Cols[I]);
+      Last = Cols[I];
+    }
+    NewOffsets[V + 1] = NewCols.size();
+  }
+  return CsrGraph(std::move(NewOffsets), std::move(NewCols));
+}
+
+} // namespace
+
 CsrGraph graph::buildCsr(uint32_t NumVertices, std::vector<Edge> Edges,
                          const BuildOptions &Options) {
+  return detail::buildCsr(NumVertices, std::move(Edges), Options, 0);
+}
+
+CsrGraph graph::detail::buildCsr(uint32_t NumVertices,
+                                 std::vector<Edge> Edges,
+                                 const BuildOptions &Options,
+                                 unsigned Threads) {
   if (Options.Symmetrize) {
     size_t Original = Edges.size();
     Edges.reserve(Original * 2);
     for (size_t I = 0; I < Original; ++I)
       Edges.emplace_back(Edges[I].second, Edges[I].first);
   }
-  if (Options.RemoveSelfLoops) {
-    Edges.erase(std::remove_if(Edges.begin(), Edges.end(),
-                               [](const Edge &E) {
-                                 return E.first == E.second;
-                               }),
-                Edges.end());
-  }
+  CsrGraph G =
+      buildCsrInPlace(NumVertices, Edges, Options.RemoveSelfLoops, Threads);
+  if (Options.DeduplicateEdges)
+    return deduplicate(G);
+  return G;
+}
 
-  // Out- and in-degrees, prefix-summed into row offsets (by source) and
-  // column offsets (by destination).
-  std::vector<uint64_t> RowOffsets(NumVertices + 1, 0);
-  std::vector<uint64_t> InOffsets(NumVertices + 1, 0);
-  for (const Edge &E : Edges) {
-    if (E.first >= NumVertices || E.second >= NumVertices)
-      reportFatalError("edge endpoint out of range");
-    ++RowOffsets[E.first + 1];
-    ++InOffsets[E.second + 1];
-  }
-  for (uint32_t V = 0; V < NumVertices; ++V) {
-    RowOffsets[V + 1] += RowOffsets[V];
-    InOffsets[V + 1] += InOffsets[V];
-  }
+CsrGraph graph::detail::buildCsrInPlace(uint32_t NumVertices,
+                                        std::span<Edge> Edges,
+                                        bool RemoveSelfLoops,
+                                        unsigned Threads) {
+  if (Threads == 0)
+    Threads = parallelThreads(Edges.size());
+  // Each slice counts keys in 32 bits, so no slice may hold 2^32 edges.
+  auto Slices = static_cast<unsigned>(
+      std::max<uint64_t>(Threads, (Edges.size() >> 32) + 1));
 
   // Two stable counting sorts sort every row without comparisons. Pass 1
-  // groups the sources by destination; pass 2 walks the destinations in
-  // ascending order and appends each to its source's row, which
-  // therefore comes out sorted. Pass 2 writes into Edges[I].first, free
-  // once pass 1 has read it, and the result is copied into Cols. Each
-  // pass advances its offsets as cursors, leaving Offsets[V] at the end
-  // of group V.
-  std::vector<VertexId> Cols(Edges.size());
-  for (const Edge &E : Edges)
-    Cols[InOffsets[E.second]++] = E.first;
-  uint64_t Begin = 0;
-  for (VertexId Dst = 0; Dst < NumVertices; ++Dst) {
-    for (uint64_t I = Begin; I < InOffsets[Dst]; ++I)
-      Edges[RowOffsets[Cols[I]]++].first = Dst;
-    Begin = InOffsets[Dst];
-  }
-  std::move_backward(RowOffsets.begin(), RowOffsets.end() - 1,
-                     RowOffsets.end());
-  RowOffsets[0] = 0;
-  for (size_t I = 0; I < Cols.size(); ++I)
-    Cols[I] = Edges[I].first;
+  // groups the sources by destination into Cols; pass 2 walks Cols in
+  // order, so destinations ascend, and appends each destination to its
+  // source's row in Edges[I].first, free once pass 1 has read it. Each
+  // pass splits its input into contiguous slices, one per thread: a slice
+  // counts its keys, the counts are prefix-summed in slice order, and the
+  // slice scatters through its own cursors. Slice order is input order,
+  // so both sorts are stable and the output bytes do not depend on the
+  // slice count. Self-loops are skipped by pass 1's count and scatter.
+  // Every buffer is allocated here; the slices only fill them.
+  auto Cursors = std::make_unique_for_overwrite<uint32_t[]>(
+      uint64_t(Slices) * NumVertices);
+  auto SliceCursors = [&](unsigned Slice) {
+    uint32_t *Begin = Cursors.get() + uint64_t(Slice) * NumVertices;
+    return std::span<uint32_t>(Begin, NumVertices);
+  };
+  auto Skip = [RemoveSelfLoops](const Edge &E) {
+    return RemoveSelfLoops && E.first == E.second;
+  };
 
-  if (Options.DeduplicateEdges) {
-    std::vector<uint64_t> NewOffsets(NumVertices + 1, 0);
-    std::vector<VertexId> NewCols;
-    NewCols.reserve(Cols.size());
-    for (uint32_t V = 0; V < NumVertices; ++V) {
-      VertexId Last = ~0u;
-      for (uint64_t I = RowOffsets[V]; I < RowOffsets[V + 1]; ++I) {
-        if (Cols[I] == Last)
-          continue;
-        NewCols.push_back(Cols[I]);
-        Last = Cols[I];
-      }
-      NewOffsets[V + 1] = NewCols.size();
+  std::vector<uint64_t> InOffsets(NumVertices + 1);
+  parallelFor(Slices, Edges.size(), [&](unsigned Slice, uint64_t Begin,
+                                        uint64_t End) {
+    std::span<uint32_t> Count = SliceCursors(Slice);
+    std::fill(Count.begin(), Count.end(), 0);
+    for (uint64_t I = Begin; I < End; ++I) {
+      const Edge &E = Edges[I];
+      if (Skip(E))
+        continue;
+      if (E.first >= NumVertices || E.second >= NumVertices)
+        reportFatalError("edge endpoint out of range");
+      ++Count[E.second];
     }
-    return CsrGraph(std::move(NewOffsets), std::move(NewCols));
-  }
+  });
+  prefixSumBySlice(Cursors.get(), Slices, NumVertices, InOffsets);
+  std::vector<VertexId> Cols(InOffsets[NumVertices]);
+  parallelFor(Slices, Edges.size(), [&](unsigned Slice, uint64_t Begin,
+                                        uint64_t End) {
+    std::span<uint32_t> Next = SliceCursors(Slice);
+    for (uint64_t I = Begin; I < End; ++I) {
+      const Edge &E = Edges[I];
+      if (!Skip(E))
+        Cols[InOffsets[E.second] + Next[E.second]++] = E.first;
+    }
+  });
+
+  std::vector<uint64_t> RowOffsets(NumVertices + 1);
+  parallelFor(Slices, Cols.size(), [&](unsigned Slice, uint64_t Begin,
+                                       uint64_t End) {
+    std::span<uint32_t> Count = SliceCursors(Slice);
+    std::fill(Count.begin(), Count.end(), 0);
+    for (uint64_t I = Begin; I < End; ++I)
+      ++Count[Cols[I]];
+  });
+  prefixSumBySlice(Cursors.get(), Slices, NumVertices, RowOffsets);
+  parallelFor(Slices, Cols.size(), [&](unsigned Slice, uint64_t Begin,
+                                       uint64_t End) {
+    if (Begin == End)
+      return;
+    std::span<uint32_t> Next = SliceCursors(Slice);
+    // The destination whose group holds position Begin.
+    auto Dst = static_cast<VertexId>(
+        std::upper_bound(InOffsets.begin(), InOffsets.end(), Begin) -
+        InOffsets.begin() - 1);
+    for (uint64_t I = Begin; I < End; ++I) {
+      while (InOffsets[Dst + 1] <= I)
+        ++Dst;
+      VertexId Src = Cols[I];
+      Edges[RowOffsets[Src] + Next[Src]++].first = Dst;
+    }
+  });
+  parallelFor(Slices, Cols.size(), [&](unsigned, uint64_t Begin,
+                                       uint64_t End) {
+    for (uint64_t I = Begin; I < End; ++I)
+      Cols[I] = Edges[I].first;
+  });
   return CsrGraph(std::move(RowOffsets), std::move(Cols));
 }
 
 CsrGraph graph::withRandomWeights(CsrGraph G, uint32_t MaxWeight,
                                   uint64_t Seed) {
-  assert(MaxWeight > 0 && "weights need a positive range");
+  if (MaxWeight == 0)
+    reportFatalError("edge weights need a maximum of at least 1");
   std::vector<uint32_t> Weights(G.numEdges());
   const std::vector<uint64_t> &Offsets = G.rowOffsets();
   const std::vector<VertexId> &Cols = G.cols();

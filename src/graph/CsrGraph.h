@@ -85,13 +85,31 @@ struct BuildOptions {
 
 /// Builds a CSR graph over \p NumVertices from \p Edges. Every row comes
 /// out sorted by neighbor id. Aborts if an endpoint is not below
-/// \p NumVertices.
+/// \p NumVertices. Large edge lists are sorted on every hardware thread;
+/// the output does not depend on the thread count.
 CsrGraph buildCsr(uint32_t NumVertices, std::vector<Edge> Edges,
                   const BuildOptions &Options = {});
 
 /// Attaches deterministic pseudo-random edge weights in [1, MaxWeight]
 /// derived from \p Seed and the edge endpoints (stable across builds).
+/// Aborts if \p MaxWeight is 0.
 CsrGraph withRandomWeights(CsrGraph G, uint32_t MaxWeight, uint64_t Seed);
+
+namespace detail {
+
+/// buildCsr() on \p Threads threads, or with 0 on every hardware thread
+/// but at most one per 2^20 edges. Tests use it to check that the output
+/// does not depend on the count.
+CsrGraph buildCsr(uint32_t NumVertices, std::vector<Edge> Edges,
+                  const BuildOptions &Options, unsigned Threads);
+
+/// The sort behind buildCsr() (no symmetrizing or deduplication) over an
+/// edge array the caller owns; it overwrites the array as scratch. The
+/// generators call it on edges their sampling threads first-touched.
+CsrGraph buildCsrInPlace(uint32_t NumVertices, std::span<Edge> Edges,
+                         bool RemoveSelfLoops, unsigned Threads);
+
+} // namespace detail
 
 } // namespace graph
 } // namespace atmem

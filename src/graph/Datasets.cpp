@@ -51,6 +51,11 @@ const DatasetSpec *findSpec(const std::string &Name) {
 } // namespace
 
 Dataset graph::makeDataset(const std::string &Name, double ScaleDivisor) {
+  return detail::makeDataset(Name, ScaleDivisor, 0);
+}
+
+Dataset graph::detail::makeDataset(const std::string &Name,
+                                   double ScaleDivisor, unsigned Threads) {
   const DatasetSpec *Spec = findSpec(Name);
   if (!Spec)
     reportFatalError("unknown dataset: " + Name);
@@ -74,14 +79,14 @@ Dataset graph::makeDataset(const std::string &Name, double ScaleDivisor) {
       Params.Scale = 10;
     Params.EdgeFactor = Spec->AvgDegree;
     Params.Seed = Spec->Seed;
-    Result.Graph = generateRmat(Params);
+    Result.Graph = generateRmat(Params, Threads);
   } else {
     PowerLawParams Params;
     Params.NumVertices = Vertices;
     Params.AverageDegree = Spec->AvgDegree;
     Params.Gamma = Spec->Gamma;
     Params.Seed = Spec->Seed;
-    Result.Graph = generatePowerLaw(Params);
+    Result.Graph = generatePowerLaw(Params, Threads);
   }
   return Result;
 }

@@ -57,6 +57,16 @@ Dataset makeDataset(const std::string &Name, double ScaleDivisor = 256.0);
 /// in the minutes range while preserving the paper's relative shapes.
 inline constexpr double DefaultScaleDivisor = 256.0;
 
+namespace detail {
+
+/// makeDataset() with its generator on \p Threads threads (0 as in
+/// detail::generateRmat()). Tests use it to check that the output does
+/// not depend on the count.
+Dataset makeDataset(const std::string &Name, double ScaleDivisor,
+                    unsigned Threads);
+
+} // namespace detail
+
 } // namespace graph
 } // namespace atmem
 

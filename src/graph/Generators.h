@@ -40,6 +40,8 @@ struct RmatParams {
 };
 
 /// Generates an R-MAT graph as CSR (self-loops removed, neighbors sorted).
+/// Aborts unless Scale is 1 to 31, EdgeFactor is finite and non-negative,
+/// and the quadrant probabilities are non-negative and sum below 1.
 CsrGraph generateRmat(const RmatParams &Params);
 
 /// Chung-Lu power-law parameters.
@@ -54,8 +56,20 @@ struct PowerLawParams {
 
 /// Generates a power-law graph: expected vertex degrees follow
 /// w_v ~ (v+1)^(-1/(Gamma-1)), endpoints sampled proportionally to weight.
-/// Vertex 0 is the heaviest hub.
+/// Vertex 0 is the heaviest hub. Aborts unless NumVertices is positive,
+/// AverageDegree is finite and non-negative, and Gamma is finite and
+/// above 1.
 CsrGraph generatePowerLaw(const PowerLawParams &Params);
+
+namespace detail {
+
+/// generateRmat() and generatePowerLaw() on \p Threads threads, or with 0
+/// on every hardware thread but at most one per 2^20 random draws. Tests
+/// use them to check that the output does not depend on the count.
+CsrGraph generateRmat(const RmatParams &Params, unsigned Threads);
+CsrGraph generatePowerLaw(const PowerLawParams &Params, unsigned Threads);
+
+} // namespace detail
 
 } // namespace graph
 } // namespace atmem

@@ -52,6 +52,11 @@ public:
   /// unbiased multiply-shift rejection method. \p Bound must be non-zero.
   uint64_t nextBounded(uint64_t Bound);
 
+  /// Advances the stream as \p N calls of next() would, in O(log N)
+  /// polynomial steps plus 256 next() calls, so independent workers can
+  /// each start at their own offset of one stream.
+  void discard(uint64_t N);
+
 private:
   uint64_t State[4];
 };

@@ -13,6 +13,7 @@
 #include "core/Runtime.h"
 #include "graph/CsrGraph.h"
 #include "graph/Datasets.h"
+#include "graph/Generators.h"
 #include "mem/DataObject.h"
 #include "sim/CacheSim.h"
 #include "sim/MachineConfig.h"
@@ -87,6 +88,58 @@ TEST(DeathTest, OutOfRangeEdgeEndpointAborts) {
 
 TEST(DeathTest, NanScaleDivisorAborts) {
   EXPECT_DEATH(graph::makeDataset("pokec", std::nan("")), "scale divisor");
+}
+
+// Generator parameters arrive from atmem_graphgen's options, and the
+// release build compiles asserts out, so every bad value is a fatal error
+// instead of undefined behaviour (1u << 32, a NaN cast to an edge count)
+// or a silently wrong graph (gamma <= 1).
+TEST(DeathTest, BadRmatParametersAbort) {
+  graph::RmatParams Params;
+  Params.Scale = 0;
+  EXPECT_DEATH(graph::generateRmat(Params), "scale must be 1 to 31, got 0");
+  Params.Scale = 32;
+  EXPECT_DEATH(graph::generateRmat(Params), "scale must be 1 to 31, got 32");
+  Params.Scale = 4;
+  for (double Factor : {std::nan(""), -5.0, HUGE_VAL, 1e300}) {
+    Params.EdgeFactor = Factor;
+    EXPECT_DEATH(graph::generateRmat(Params),
+                 "edge factor must be finite and non-negative");
+  }
+  Params.EdgeFactor = 4;
+  Params.A = std::nan("");
+  EXPECT_DEATH(graph::generateRmat(Params), "quadrant probabilities");
+  Params.A = -0.1;
+  EXPECT_DEATH(graph::generateRmat(Params), "quadrant probabilities");
+}
+
+TEST(DeathTest, BadPowerLawParametersAbort) {
+  graph::PowerLawParams Params;
+  Params.NumVertices = 16;
+  for (double Degree : {std::nan(""), -5.0, HUGE_VAL}) {
+    Params.AverageDegree = Degree;
+    EXPECT_DEATH(graph::generatePowerLaw(Params),
+                 "average degree must be finite and non-negative");
+  }
+  Params.AverageDegree = 4;
+  for (double Gamma : {0.5, 1.0, std::nan(""), HUGE_VAL}) {
+    Params.Gamma = Gamma;
+    EXPECT_DEATH(graph::generatePowerLaw(Params),
+                 "gamma must be finite and above 1");
+  }
+  // Exponent -10000: every weight (v + 2)^-10000 underflows to 0.
+  Params.NumVertices = 1000;
+  Params.Gamma = 1.0001;
+  EXPECT_DEATH(graph::generatePowerLaw(Params), "weights underflow to 0");
+  Params.Gamma = 2.0;
+  Params.NumVertices = 0;
+  EXPECT_DEATH(graph::generatePowerLaw(Params), "at least one vertex");
+}
+
+// MaxWeight 0 used to reach a modulo by zero (SIGFPE).
+TEST(DeathTest, ZeroMaxWeightAborts) {
+  graph::CsrGraph G = graph::buildCsr(2, {{0, 1}});
+  EXPECT_DEATH(graph::withRandomWeights(G, 0, 1), "maximum of at least 1");
 }
 
 // A set's recency ranks and fingerprints are one 16-byte row each.

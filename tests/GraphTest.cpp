@@ -2,7 +2,7 @@
 // Unit tests for the graph library: CSR building, generators, datasets,
 // and edge-list IO. The generators and the CSR build are also checked
 // byte for byte against reference implementations kept in this file, and
-// the five datasets against golden digests.
+// the five datasets against golden digests, at several thread counts.
 //===----------------------------------------------------------------------===//
 
 #include "graph/CsrBinaryIO.h"
@@ -144,6 +144,14 @@ void expectSameGraph(const CsrGraph &Actual, const CsrGraph &Expected,
   EXPECT_EQ(Actual.cols(), Expected.cols()) << What;
 }
 
+/// Thread counts the parallel build is checked at: one, even and odd
+/// counts, and more threads than this host may have.
+constexpr unsigned BuildThreadCounts[] = {1, 2, 3, 4, 7};
+
+std::string onThreads(unsigned Threads) {
+  return " on " + std::to_string(Threads) + " threads";
+}
+
 /// A random edge list over \p NumVertices with self-loops, duplicates, one
 /// hub row, and empty rows (ordinary endpoints come from the lower half).
 std::vector<Edge> randomEdgeList(uint32_t NumVertices, Xoshiro256 &Rng) {
@@ -227,11 +235,16 @@ TEST(CsrGraphTest, BuildMatchesReferenceUnderEveryOption) {
         Options.RemoveSelfLoops = Mask & 1;
         Options.Symmetrize = Mask & 2;
         Options.DeduplicateEdges = Mask & 4;
-        expectSameGraph(buildCsr(NumVertices, Edges, Options),
-                        referenceBuildCsr(NumVertices, Edges, Options),
-                        "V=" + std::to_string(NumVertices) + " trial " +
-                            std::to_string(Trial) + " options " +
-                            std::to_string(Mask));
+        CsrGraph Expected = referenceBuildCsr(NumVertices, Edges, Options);
+        std::string What = "V=" + std::to_string(NumVertices) + " trial " +
+                           std::to_string(Trial) + " options " +
+                           std::to_string(Mask);
+        expectSameGraph(buildCsr(NumVertices, Edges, Options), Expected,
+                        What);
+        for (unsigned Threads : BuildThreadCounts)
+          expectSameGraph(
+              detail::buildCsr(NumVertices, Edges, Options, Threads),
+              Expected, What + onThreads(Threads));
       }
     }
   }
@@ -320,11 +333,15 @@ TEST(RmatGeneratorTest, MatchesReference) {
         Params.B = Q.B;
         Params.C = Q.C;
         Params.Seed = Seed++;
-        expectSameGraph(generateRmat(Params), referenceRmat(Params),
-                        "scale " + std::to_string(Scale) + " factor " +
-                            std::to_string(EdgeFactor) + " A " +
-                            std::to_string(Q.A) + " seed " +
-                            std::to_string(Params.Seed));
+        CsrGraph Expected = referenceRmat(Params);
+        std::string What = "scale " + std::to_string(Scale) + " factor " +
+                           std::to_string(EdgeFactor) + " A " +
+                           std::to_string(Q.A) + " seed " +
+                           std::to_string(Params.Seed);
+        expectSameGraph(generateRmat(Params), Expected, What);
+        for (unsigned Threads : BuildThreadCounts)
+          expectSameGraph(detail::generateRmat(Params, Threads), Expected,
+                          What + onThreads(Threads));
       }
 }
 
@@ -340,10 +357,14 @@ TEST(PowerLawGeneratorTest, MatchesReference) {
         Params.AverageDegree = AverageDegree;
         Params.Gamma = Gamma;
         Params.Seed = Seed++;
-        expectSameGraph(generatePowerLaw(Params), referencePowerLaw(Params),
-                        "V=" + std::to_string(NumVertices) + " gamma " +
-                            std::to_string(Gamma) + " degree " +
-                            std::to_string(AverageDegree));
+        CsrGraph Expected = referencePowerLaw(Params);
+        std::string What = "V=" + std::to_string(NumVertices) + " gamma " +
+                           std::to_string(Gamma) + " degree " +
+                           std::to_string(AverageDegree);
+        expectSameGraph(generatePowerLaw(Params), Expected, What);
+        for (unsigned Threads : BuildThreadCounts)
+          expectSameGraph(detail::generatePowerLaw(Params, Threads), Expected,
+                          What + onThreads(Threads));
       }
 }
 
@@ -434,6 +455,39 @@ TEST(DatasetTest, GoldenDigests) {
                          Digest);
     EXPECT_EQ(Digest, Want.Digest)
         << Want.Name << " at divisor " << Want.Divisor;
+  }
+}
+
+TEST(DatasetTest, GoldenDigestsAtEveryThreadCount) {
+  // GoldenDigests' eight datasets and digests, built through the entry
+  // point that fixes the thread count: the sampling slices, the weight
+  // slices and both counting sorts' slices must not move a byte.
+  struct Golden {
+    const char *Name;
+    double Divisor;
+    uint64_t Digest;
+  };
+  const Golden Goldens[] = {
+      {"pokec", 2048, 0x2bf3b4473720cd50ull},
+      {"rmat24", 2048, 0x5cb5e6e141ee4d02ull},
+      {"twitter", 2048, 0x7cae2af16afbe2cfull},
+      {"rmat27", 2048, 0x7b435e04453dc55aull},
+      {"friendster", 2048, 0xdf7e8f86661215b9ull},
+      {"pokec", 256, 0xe7e0ad499c1fe3efull},
+      {"rmat24", 256, 0x87a3e45f670e0839ull},
+      {"twitter", 256, 0xc83c3173d5cf8393ull},
+  };
+  for (unsigned Threads : BuildThreadCounts) {
+    for (const Golden &Want : Goldens) {
+      CsrGraph G = detail::makeDataset(Want.Name, Want.Divisor, Threads).Graph;
+      uint64_t Digest =
+          fnv1aDigest(G.rowOffsets().data(),
+                      G.rowOffsets().size() * sizeof(uint64_t));
+      Digest = fnv1aDigest(G.cols().data(),
+                           G.cols().size() * sizeof(VertexId), Digest);
+      EXPECT_EQ(Digest, Want.Digest)
+          << Want.Name << " at divisor " << Want.Divisor << onThreads(Threads);
+    }
   }
 }
 

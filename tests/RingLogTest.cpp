@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -421,6 +422,12 @@ TEST_F(RingLogTest, SalvageExportsToAFlatTrailerCompleteFile) {
 
 TEST_F(RingLogTest, SigkilledRunSalvagesEveryCompleteEpoch) {
   std::string Base = tempPath("ring_crash.atdr");
+  // A killed earlier run leaves its segments behind; the first peek below
+  // must not count their epochs before the child truncates them.
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(::testing::TempDir()))
+    if (Entry.path().filename().string().starts_with("ring_crash.atdr."))
+      std::filesystem::remove(Entry.path());
 
   pid_t Child = ::fork();
   ASSERT_GE(Child, 0);

@@ -1,10 +1,12 @@
 //===----------------------------------------------------------------------===//
-// Unit tests for the support library: PRNG, statistics, string utilities,
-// table printing, options parsing, and logging.
+// Unit tests for the support library: PRNG, fork-join parallelism,
+// statistics, string utilities, table printing, options parsing, and
+// logging.
 //===----------------------------------------------------------------------===//
 
 #include "support/Logging.h"
 #include "support/Options.h"
+#include "support/Parallel.h"
 #include "support/Prng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -12,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 using namespace atmem;
@@ -89,6 +94,65 @@ TEST(Xoshiro256Test, BoundedCoversSmallRange) {
   for (int I = 0; I < 1000; ++I)
     Seen.insert(Rng.nextBounded(8));
   EXPECT_EQ(Seen.size(), 8u);
+}
+
+TEST(XoshiroTest, DiscardMatchesSequentialNext) {
+  // 255, 256 and 257 straddle the polynomial's degree; 2^20 + 3 needs
+  // many reductions modulo the characteristic polynomial.
+  for (uint64_t N : {0ull, 1ull, 255ull, 256ull, 257ull, (1ull << 20) + 3}) {
+    Xoshiro256 Stepped(42), Jumped(42);
+    for (uint64_t I = 0; I < N; ++I)
+      Stepped.next();
+    Jumped.discard(N);
+    for (int I = 0; I < 4; ++I)
+      ASSERT_EQ(Jumped.next(), Stepped.next()) << "N = " << N;
+  }
+  // Jumps compose: discard(A) then discard(B) is discard(A + B), also for
+  // offsets far beyond anything a sequential check can reach.
+  const uint64_t A = 0x9e3779b97f4a7c15ull >> 1, B = 0xc2b2ae3d27d4eb4full >> 1;
+  Xoshiro256 TwoJumps(7), OneJump(7);
+  TwoJumps.discard(A);
+  TwoJumps.discard(B);
+  OneJump.discard(A + B);
+  for (int I = 0; I < 4; ++I)
+    EXPECT_EQ(TwoJumps.next(), OneJump.next());
+}
+
+//===----------------------------------------------------------------------===//
+// parallelFor
+//===----------------------------------------------------------------------===//
+
+TEST(ParallelForTest, SlicesCoverTheRangeInOrder) {
+  for (unsigned Slices : {1u, 2u, 3u, 7u}) {
+    for (uint64_t Count : {0ull, 1ull, 5ull, 1000ull}) {
+      std::vector<uint64_t> Begins(Slices), Ends(Slices);
+      std::vector<std::atomic<int>> Visits(Count);
+      parallelFor(Slices, Count,
+                  [&](unsigned Slice, uint64_t Begin, uint64_t End) {
+                    Begins[Slice] = Begin;
+                    Ends[Slice] = End;
+                    for (uint64_t I = Begin; I < End; ++I)
+                      ++Visits[I];
+                  });
+      EXPECT_EQ(Begins[0], 0u);
+      EXPECT_EQ(Ends[Slices - 1], Count);
+      for (unsigned Slice = 1; Slice < Slices; ++Slice) {
+        EXPECT_EQ(Begins[Slice], Ends[Slice - 1]);
+        // Slices differ in size by at most one element.
+        EXPECT_LE(Ends[0] - Begins[0] - (Ends[Slice] - Begins[Slice]), 1u);
+      }
+      for (const std::atomic<int> &Visit : Visits)
+        EXPECT_EQ(Visit.load(), 1);
+    }
+  }
+}
+
+TEST(ParallelForTest, ThreadsBoundedByWorkAndHardware) {
+  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
+  EXPECT_EQ(parallelThreads(0), 1u);
+  EXPECT_EQ(parallelThreads((2u << 20) - 1), 1u);
+  EXPECT_EQ(parallelThreads(2u << 20), std::min(2u, Hardware));
+  EXPECT_EQ(parallelThreads(~0ull), Hardware);
 }
 
 //===----------------------------------------------------------------------===//

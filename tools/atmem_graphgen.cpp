@@ -91,14 +91,13 @@ int main(int Argc, const char **Argv) {
   } else if (std::string Family = Parser.getString("family");
              Family == "rmat") {
     graph::RmatParams Params;
-    Params.Scale = static_cast<uint32_t>(Parser.getUnsigned("scale-log2"));
+    Params.Scale = Parser.getUnsigned32("scale-log2");
     Params.EdgeFactor = Parser.getDouble("degree");
     Params.Seed = Parser.getUnsigned("seed");
     Graph = graph::generateRmat(Params);
   } else if (Family == "powerlaw") {
     graph::PowerLawParams Params;
-    Params.NumVertices =
-        static_cast<uint32_t>(Parser.getUnsigned("vertices"));
+    Params.NumVertices = Parser.getUnsigned32("vertices");
     Params.AverageDegree = Parser.getDouble("degree");
     Params.Gamma = Parser.getDouble("gamma");
     Params.Seed = Parser.getUnsigned("seed");
@@ -109,9 +108,8 @@ int main(int Argc, const char **Argv) {
     return 1;
   }
 
-  if (uint64_t MaxWeight = Parser.getUnsigned("weights"); MaxWeight > 0)
-    Graph = graph::withRandomWeights(Graph,
-                                     static_cast<uint32_t>(MaxWeight),
+  if (uint32_t MaxWeight = Parser.getUnsigned32("weights"); MaxWeight > 0)
+    Graph = graph::withRandomWeights(Graph, MaxWeight,
                                      Parser.getUnsigned("seed"));
 
   bool Ok;

@@ -226,8 +226,7 @@ int main(int Argc, const char **Argv) {
     Config.Graph = &Graph;
     Config.Machine = Machine;
     Config.PolicyKind = P;
-    Config.MeasuredIterations =
-        static_cast<uint32_t>(Parser.getUnsigned("iterations"));
+    Config.MeasuredIterations = Parser.getUnsigned32("iterations");
     Config.MeasureTlb = Parser.getFlag("tlb");
     Config.SimThreads = std::max(Parser.getUnsigned32("sim-threads"), 1u);
     Config.OptimizeEachIteration = Parser.getFlag("reoptimize");
