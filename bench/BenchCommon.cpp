@@ -29,7 +29,8 @@ void bench::addCommonOptions(OptionParser &Parser) {
                    "dataset scale divisor (paper size / divisor)");
   Parser.addFlag("quick", "restrict to two datasets and two kernels");
   Parser.addUnsigned("sim-threads", 1,
-                     "tracked-execution engine threads (1 = serial engine)");
+                     "host threads replaying the LLC model (1 = inline "
+                     "probe); every value gives the same results");
   Parser.addUnsigned("jobs", 1,
                      "concurrent experiment configurations "
                      "(0 = one per host hardware thread)");

@@ -6,18 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Microbenchmark of the two runtime hot paths this PR series optimizes:
+/// Microbenchmark of the two runtime hot paths:
 ///
-///   tracked_access — the inline per-access path (LLC probe + per-tier
-///       accounting) driven by a pseudo-random gather whose footprint
-///       exceeds the simulated LLC, so the probe's miss side is exercised
-///       as hard as its hit side;
-///   miss_drain — the end-of-iteration drain of buffered shard misses
-///       into the profiler, miss trace, and TLB replay. Both drains are
-///       measured from one binary: the reference per-miss pipeline
-///       (RuntimeConfig::BatchedDrain = false, the pre-optimization
-///       behaviour preserved verbatim) and the batched pipeline, giving a
-///       self-contained before/after pair plus their speedup.
+///   tracked_access — a kernel-style tracked gather whose footprint
+///       exceeds the simulated LLC, timed from its first access through
+///       endIteration() on a runtime with --sim-threads engine threads
+///       (2 by default: the set-partitioned LLC replay; 1 is the inline
+///       probe), with no miss consumer attached;
+///   miss_drain — the miss consumers (core::MissConsumers: sampling
+///       profiler, miss trace, TLB replay) fed an ordered miss stream in
+///       replay-block-sized batches, as the replay feeds them.
 ///
 /// Each section runs one untimed warmup pass and then N timed repeats;
 /// the JSON reports min/median/max rates per section, with the legacy
@@ -98,11 +96,13 @@ SectionStats summarize(std::vector<SectionResult> Runs) {
   return S;
 }
 
-/// Times \p Accesses tracked gathers over a 32 MiB array on the serial
-/// engine with no miss consumers attached — the bare inline hot path.
-SectionResult benchTrackedAccess(uint64_t Accesses) {
+/// Times \p Accesses tracked gathers over a 32 MiB array, through the
+/// end of the iteration, on a runtime with \p SimThreads engine threads
+/// and no miss consumers attached.
+SectionResult benchTrackedAccess(uint64_t Accesses, uint32_t SimThreads) {
   core::RuntimeConfig Config;
   Config.Machine = benchMachine();
+  Config.SimThreads = SimThreads;
   core::Runtime Rt(Config);
   constexpr uint64_t Elems = 1u << 22;
   core::TrackedArray<uint64_t> Arr = Rt.allocate<uint64_t>("gather", Elems);
@@ -118,89 +118,77 @@ SectionResult benchTrackedAccess(uint64_t Accesses) {
     State = State * LcgMul + LcgAdd;
     Sink ^= Arr[(State >> 11) & (Elems - 1)];
   }
+  Rt.endIteration();
+  Rt.beginIteration();
   double Begin = nowMs();
   for (uint64_t I = 0; I < Accesses; ++I) {
     State = State * LcgMul + LcgAdd;
     Sink ^= Arr[(State >> 11) & (Elems - 1)];
   }
-  double WallMs = nowMs() - Begin;
   Rt.endIteration();
+  double WallMs = nowMs() - Begin;
   // Keep the gather alive past the optimizer.
   if (Sink == 0x5ca1ab1e)
     std::fprintf(stderr, "sink\n");
   return {Accesses, WallMs};
 }
 
-/// Deterministic per-shard miss streams (byte offsets into the gather
-/// array), generated once and injected verbatim into both drain
-/// configurations. Earlier revisions produced the misses with a tracked
-/// kernel fill, which let the pool's work partitioning perturb each
-/// shard's private LLC — the reference and batched sections then drained
-/// slightly different miss counts (6192686 vs 6192602 in the committed
-/// baseline) even though the drains themselves are deterministic.
-/// Injection makes the two sections' inputs identical by construction.
-std::vector<std::vector<uint64_t>>
-makeMissStreams(uint32_t Shards, uint64_t MissesPerShard) {
+/// A deterministic ordered miss stream: byte offsets into the gather
+/// array.
+std::vector<uint64_t> makeMissStream(uint64_t Misses) {
   constexpr uint64_t Elems = 1u << 22;
-  std::vector<std::vector<uint64_t>> Streams(Shards);
-  for (uint32_t T = 0; T < Shards; ++T) {
-    uint64_t State = 0x9e3779b97f4a7c15ull + T;
-    Streams[T].reserve(MissesPerShard);
-    for (uint64_t I = 0; I < MissesPerShard; ++I) {
-      State = State * LcgMul + LcgAdd;
-      Streams[T].push_back(((State >> 11) & (Elems - 1)) * 8);
-    }
+  std::vector<uint64_t> Stream;
+  Stream.reserve(Misses);
+  uint64_t State = 0x9e3779b97f4a7c15ull;
+  for (uint64_t I = 0; I < Misses; ++I) {
+    State = State * LcgMul + LcgAdd;
+    Stream.push_back(((State >> 11) & (Elems - 1)) * 8);
   }
-  return Streams;
+  return Stream;
 }
 
-/// Times the end-of-iteration drain (profiler + miss trace + TLB replay
-/// over every buffered miss) for one drain implementation. The buffers
-/// are filled untimed from \p Streams; only endIteration() — the drain —
-/// is on the clock.
-SectionResult
-benchMissDrain(bool Batched, uint32_t SimThreads, uint32_t Iterations,
-               const std::vector<std::vector<uint64_t>> &Streams,
-               const std::string &TracePath) {
+/// Times the miss consumers (profiler + miss trace + TLB replay) over
+/// \p Iterations passes of \p Stream, fed in batches of up to one replay
+/// block, as the set-partitioned replay feeds them.
+SectionResult benchMissDrain(uint32_t Iterations,
+                             const std::vector<uint64_t> &Stream,
+                             const std::string &TracePath) {
   core::RuntimeConfig Config;
   Config.Machine = benchMachine();
-  Config.SimThreads = SimThreads;
-  Config.BatchedDrain = Batched;
   core::Runtime Rt(Config);
   constexpr uint64_t Elems = 1u << 22;
   core::TrackedArray<uint64_t> Arr = Rt.allocate<uint64_t>("gather", Elems);
-  uint64_t VaBase = Arr.va();
+  std::vector<uint64_t> Vas;
+  Vas.reserve(Stream.size());
+  for (uint64_t Off : Stream)
+    Vas.push_back(Arr.va() + Off);
 
   sim::Tlb Tlb = Rt.machine().makeTlb();
-  Rt.setReplayTlb(&Tlb);
   prof::TraceWriter Trace;
   if (!Trace.open(TracePath)) {
     std::fprintf(stderr, "micro_hotpath: cannot open %s\n",
                  TracePath.c_str());
     return {};
   }
-  Rt.setMissTrace(&Trace);
   Rt.profilingStart();
+  core::MissConsumers Consumers(Rt.profiler(), Rt.machine().pageTable());
+  Consumers.setTlb(&Tlb);
+  Consumers.setTrace(&Trace);
 
   SectionResult Result;
-  // Iteration 0 is an untimed warmup: it touches every buffer, warms the
-  // translation cache and recycle pool, and is excluded from the stats.
+  // Pass 0 is an untimed warmup: it warms the translation cache, the
+  // trace writer's recycle pool and the profile vectors.
   for (uint32_t Iter = 0; Iter <= Iterations; ++Iter) {
-    bool Warmup = Iter == 0;
-    Rt.beginIteration();
-    for (uint32_t T = 0; T < Rt.simThreads(); ++T) {
-      std::vector<uint64_t> &Buf = Rt.simContext(T).missBuffer();
-      Buf.clear();
-      Buf.reserve(Streams[T].size());
-      for (uint64_t Off : Streams[T])
-        Buf.push_back(VaBase + Off);
-      if (!Warmup)
-        Result.Events += Buf.size();
-    }
+    // A replay block is 2^15 accesses, of which about a fifth miss.
+    constexpr size_t Batch = core::SetReplay::BlockAccesses / 5;
     double Begin = nowMs();
-    Rt.endIteration();
-    if (!Warmup)
+    for (size_t Pos = 0; Pos < Vas.size(); Pos += Batch)
+      Consumers.consumeBatch(Vas.data() + Pos,
+                             std::min(Batch, Vas.size() - Pos));
+    if (Iter != 0) {
       Result.WallMs += nowMs() - Begin;
+      Result.Events += Vas.size();
+    }
   }
   Rt.profilingStop();
   Trace.finish();
@@ -212,11 +200,12 @@ benchMissDrain(bool Batched, uint32_t SimThreads, uint32_t Iterations,
 
 int main(int Argc, const char **Argv) {
   OptionParser Parser(
-      "micro_hotpath: tracked-access and miss-drain throughput, with the "
-      "reference (pre-batching) drain as an in-binary baseline");
+      "micro_hotpath: tracked-access and miss-consumer throughput");
   Parser.addFlag("quick", "Cut workload sizes for CI smoke runs");
   Parser.addUnsigned("sim-threads", 2,
-                     "Engine threads for the miss-drain section");
+                     "Engine threads for the tracked-access section: 1 "
+                     "probes the LLC inline, N >= 2 replays it on N "
+                     "set-range workers (same results)");
   Parser.addUnsigned("repeats", 0,
                      "Timed repeats per section (0 = 3 quick / 5 full)");
   Parser.addString("json", "micro_hotpath.json",
@@ -233,10 +222,9 @@ int main(int Argc, const char **Argv) {
     Repeats = Quick ? 3 : 5;
   uint64_t TrackedAccesses = Quick ? 4u << 20 : 32u << 20;
   uint32_t DrainIters = Quick ? 3 : 8;
-  uint64_t DrainMissesPerShard =
-      (Quick ? 2u << 20 : 8u << 20) / std::max(1u, SimThreads) / 10;
+  uint64_t DrainMisses = (Quick ? 2u << 20 : 8u << 20) / 10;
 
-  // Read the same way Runtime caches it at construction.
+  // Part of the host-class key perf_smoke.sh compares baselines by.
   uint32_t HostThreads = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf(
@@ -254,38 +242,17 @@ int main(int Argc, const char **Argv) {
 
   std::vector<SectionResult> TrackedRuns;
   for (uint32_t R = 0; R < Repeats; ++R)
-    TrackedRuns.push_back(benchTrackedAccess(TrackedAccesses));
+    TrackedRuns.push_back(benchTrackedAccess(TrackedAccesses, SimThreads));
   SectionStats Tracked = summarize(std::move(TrackedRuns));
   report("tracked_access", "accesses", Tracked);
 
   std::string TracePath = Parser.getString("trace-tmp");
-  std::vector<std::vector<uint64_t>> Streams =
-      makeMissStreams(std::max(1u, SimThreads), DrainMissesPerShard);
-  std::vector<SectionResult> ReferenceRuns, BatchedRuns;
+  std::vector<uint64_t> Stream = makeMissStream(DrainMisses);
+  std::vector<SectionResult> DrainRuns;
   for (uint32_t R = 0; R < Repeats; ++R)
-    ReferenceRuns.push_back(benchMissDrain(
-        /*Batched=*/false, SimThreads, DrainIters, Streams, TracePath));
-  for (uint32_t R = 0; R < Repeats; ++R)
-    BatchedRuns.push_back(benchMissDrain(
-        /*Batched=*/true, SimThreads, DrainIters, Streams, TracePath));
-  SectionStats Reference = summarize(std::move(ReferenceRuns));
-  SectionStats Batched = summarize(std::move(BatchedRuns));
-  report("drain_reference", "misses  ", Reference);
-  report("drain_batched", "misses  ", Batched);
-  if (Reference.Median.Events != Batched.Median.Events) {
-    std::fprintf(stderr,
-                 "micro_hotpath: reference and batched drained different "
-                 "miss counts (%llu vs %llu) despite injected streams\n",
-                 static_cast<unsigned long long>(Reference.Median.Events),
-                 static_cast<unsigned long long>(Batched.Median.Events));
-    return 1;
-  }
-
-  double Speedup = Reference.Median.perSec() > 0.0
-                       ? Batched.Median.perSec() / Reference.Median.perSec()
-                       : 0.0;
-  std::printf("drain speedup (batched / reference, medians): %.2fx\n",
-              Speedup);
+    DrainRuns.push_back(benchMissDrain(DrainIters, Stream, TracePath));
+  SectionStats Batched = summarize(std::move(DrainRuns));
+  report("miss_drain", "misses  ", Batched);
 
   std::string JsonPath = Parser.getString("json");
   if (!JsonPath.empty()) {
@@ -297,7 +264,8 @@ int main(int Argc, const char **Argv) {
     }
     // Scalar wall_ms / *_per_sec keys carry the median repeat so older
     // tooling (and perf_smoke.sh's gate) keeps reading the same keys;
-    // min/median/max rates sit alongside them.
+    // min/median/max rates sit alongside them. The consumer rate keeps
+    // its historical miss_drain.batched key.
     std::fprintf(Out,
                  "{\n"
                  "  \"bench\": \"micro_hotpath\",\n"
@@ -318,13 +286,9 @@ int main(int Argc, const char **Argv) {
                  "    \"max_per_sec\": %.0f\n"
                  "  },\n"
                  "  \"miss_drain\": {\n"
-                 "    \"reference\": {\"misses\": %llu, \"wall_ms\": %.3f, "
-                 "\"misses_per_sec\": %.0f, \"min_per_sec\": %.0f, "
-                 "\"median_per_sec\": %.0f, \"max_per_sec\": %.0f},\n"
                  "    \"batched\": {\"misses\": %llu, \"wall_ms\": %.3f, "
                  "\"misses_per_sec\": %.0f, \"min_per_sec\": %.0f, "
-                 "\"median_per_sec\": %.0f, \"max_per_sec\": %.0f},\n"
-                 "    \"speedup\": %.3f\n"
+                 "\"median_per_sec\": %.0f, \"max_per_sec\": %.0f}\n"
                  "  }\n"
                  "}\n",
                  Quick ? "true" : "false", SimThreads, Repeats,
@@ -335,14 +299,10 @@ int main(int Argc, const char **Argv) {
                  Tracked.Median.WallMs, Tracked.Median.perSec(),
                  Tracked.Min.perSec(), Tracked.Median.perSec(),
                  Tracked.Max.perSec(),
-                 static_cast<unsigned long long>(Reference.Median.Events),
-                 Reference.Median.WallMs, Reference.Median.perSec(),
-                 Reference.Min.perSec(), Reference.Median.perSec(),
-                 Reference.Max.perSec(),
                  static_cast<unsigned long long>(Batched.Median.Events),
                  Batched.Median.WallMs, Batched.Median.perSec(),
                  Batched.Min.perSec(), Batched.Median.perSec(),
-                 Batched.Max.perSec(), Speedup);
+                 Batched.Max.perSec());
     std::fclose(Out);
     std::printf("results written to %s\n", JsonPath.c_str());
   }

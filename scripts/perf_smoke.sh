@@ -7,9 +7,10 @@
 # Regression gate: if a committed BENCH_hotpath.json baseline exists and
 # was recorded on the same host class (same cpu_model and
 # host_hardware_threads — CI runners differ wildly, numbers only compare
-# within a class), the run fails when the tracked-access rate (the
-# per-access LLC probe) or the batched drain rate drops more than 20%
-# below it. micro_hotpath repeats each section and reports
+# within a class), the run fails when the tracked-access rate (a tracked
+# gather on the 2-thread LLC replay, through endIteration) or the
+# miss-consumer rate (profiler, miss trace and TLB replay over an ordered
+# miss stream) drops more than 20% below it. micro_hotpath repeats each section and reports
 # min/median/max; the legacy scalar keys the gate reads carry the median,
 # so old and new baselines stay comparable.
 #
@@ -38,7 +39,7 @@ if [ -f "$OUT" ]; then
 fi
 
 # --sim-threads 2 is micro_hotpath's default, but the gate compares the
-# sharded-drain configuration specifically, so pin it explicitly.
+# replay-engine configuration specifically, so pin it explicitly.
 "$BENCH" --quick --sim-threads 2 --json "$OUT" --trace-tmp "$REPO_ROOT/$BUILD_DIR/micro_hotpath.mtrace"
 python3 -m json.tool "$OUT" > /dev/null
 echo "perf_smoke: wrote $OUT"
@@ -79,7 +80,7 @@ if "unknown" in host_class(base) or host_class(base) != host_class(new):
 
 failed = False
 for label, keys in (("tracked access", ("tracked_access", "accesses_per_sec")),
-                    ("batched drain",
+                    ("miss consumers",
                      ("miss_drain", "batched", "misses_per_sec"))):
     old, cur = base, new
     for key in keys:

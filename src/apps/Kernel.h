@@ -48,11 +48,6 @@ class Kernel {
 public:
   virtual ~Kernel();
 
-  /// True when runIteration() executes through the parallel
-  /// tracked-execution engine (the owning runtime has SimThreads > 1 and
-  /// this kernel has a parallel variant).
-  virtual bool runsParallel() const { return false; }
-
   /// Short name ("bfs", "pr", ...).
   virtual std::string name() const = 0;
 
@@ -69,11 +64,6 @@ public:
   /// Order-independent checksum of the current result, for validation
   /// against the reference implementations.
   virtual uint64_t checksum() const = 0;
-
-protected:
-  /// The runtime this kernel registered with (set by setup()); parallel
-  /// kernel variants dispatch their loops through it.
-  core::Runtime *Owner = nullptr;
 };
 
 /// Kernel names in the paper's evaluation order.

@@ -1,6 +1,5 @@
 #include "apps/Kernels.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -26,7 +25,6 @@ static void ensureWeights(core::Runtime &Rt, GraphArrays &Arrays) {
 //===----------------------------------------------------------------------===//
 
 void BfsKernel::setup(core::Runtime &Rt, const graph::CsrGraph &G) {
-  Owner = &Rt;
   Arrays = registerGraph(Rt, G, /*WithWeights=*/false);
   bool WasTracking = Rt.trackingEnabled();
   Rt.setTrackingEnabled(false);
@@ -35,60 +33,9 @@ void BfsKernel::setup(core::Runtime &Rt, const graph::CsrGraph &G) {
   Source = G.maxDegreeVertex();
   Frontier.reserve(Arrays.NumVertices);
   Next.reserve(Arrays.NumVertices);
-  LocalNext.resize(Rt.simThreads());
-}
-
-bool BfsKernel::runsParallel() const { return Owner && Owner->simThreads() > 1; }
-
-void BfsKernel::runParallelIteration() {
-  uint32_t N = Arrays.NumVertices;
-  Owner->parallelTracked(0, N, [&](uint32_t, uint64_t Begin, uint64_t End) {
-    for (uint64_t V = Begin; V < End; ++V)
-      Levels[V] = -1;
-  });
-  if (N == 0)
-    return;
-
-  Frontier.clear();
-  Frontier.push_back(Source);
-  Levels[Source] = 0;
-  int32_t Depth = 0;
-  while (!Frontier.empty()) {
-    for (std::vector<VertexId> &Local : LocalNext)
-      Local.clear();
-    Owner->parallelTracked(
-        0, Frontier.size(),
-        [&](uint32_t Tid, uint64_t Begin, uint64_t End) {
-          std::vector<VertexId> &Local = LocalNext[Tid];
-          for (uint64_t I = Begin; I < End; ++I) {
-            VertexId U = Frontier[I];
-            uint64_t EdgeBegin = Arrays.RowOffsets[U];
-            uint64_t EdgeEnd = Arrays.RowOffsets[U + 1];
-            for (uint64_t E = EdgeBegin; E < EdgeEnd; ++E) {
-              VertexId V = Arrays.Cols[E];
-              std::atomic_ref<int32_t> Slot(Levels[V]);
-              if (Slot.load(std::memory_order_relaxed) != -1)
-                continue;
-              int32_t Expected = -1;
-              if (Slot.compare_exchange_strong(Expected, Depth + 1,
-                                               std::memory_order_relaxed))
-                Local.push_back(V);
-            }
-          }
-        });
-    Next.clear();
-    for (const std::vector<VertexId> &Local : LocalNext)
-      Next.insert(Next.end(), Local.begin(), Local.end());
-    Frontier.swap(Next);
-    ++Depth;
-  }
 }
 
 void BfsKernel::runIteration() {
-  if (runsParallel()) {
-    runParallelIteration();
-    return;
-  }
   uint32_t N = Arrays.NumVertices;
   for (uint32_t V = 0; V < N; ++V)
     Levels[V] = -1;
@@ -190,7 +137,6 @@ uint64_t SsspKernel::checksum() const {
 //===----------------------------------------------------------------------===//
 
 void PageRankKernel::setup(core::Runtime &Rt, const graph::CsrGraph &G) {
-  Owner = &Rt;
   Arrays = registerGraph(Rt, G, /*WithWeights=*/false);
   bool WasTracking = Rt.trackingEnabled();
   Rt.setTrackingEnabled(false);
@@ -206,62 +152,10 @@ void PageRankKernel::setup(core::Runtime &Rt, const graph::CsrGraph &G) {
     InvDegree.raw()[V] =
         Degree == 0 ? 0.0f : 1.0f / static_cast<float>(Degree);
   }
-  if (Rt.config().SimThreads > 1) {
-    // In-edge CSR for the pull-style parallel iteration. The transpose is
-    // stable in global edge order: each destination's source list appears
-    // in the order the push loop would have accumulated into it, so the
-    // pull's per-vertex float sums match the serial push bit for bit.
-    InOffsets = Rt.allocate<uint64_t>("pr.in_offsets", N + 1);
-    InSrcs = Rt.allocate<VertexId>("pr.in_srcs", Arrays.NumEdges);
-    Contrib = Rt.allocate<float>("pr.contrib", N);
-    const uint64_t *Rows = Arrays.RowOffsets.raw();
-    const VertexId *Cols = Arrays.Cols.raw();
-    uint64_t *InOff = InOffsets.raw();
-    for (uint32_t V = 0; V <= N; ++V)
-      InOff[V] = 0;
-    for (uint64_t E = 0; E < Arrays.NumEdges; ++E)
-      ++InOff[Cols[E] + 1];
-    for (uint32_t V = 0; V < N; ++V)
-      InOff[V + 1] += InOff[V];
-    std::vector<uint64_t> Cursor(InOff, InOff + N);
-    for (uint32_t U = 0; U < N; ++U)
-      for (uint64_t E = Rows[U]; E < Rows[U + 1]; ++E)
-        InSrcs.raw()[Cursor[Cols[E]]++] = U;
-  }
   Rt.setTrackingEnabled(WasTracking);
 }
 
-bool PageRankKernel::runsParallel() const {
-  return Owner && Owner->simThreads() > 1;
-}
-
-void PageRankKernel::runParallelIteration() {
-  uint32_t N = Arrays.NumVertices;
-  if (N == 0)
-    return;
-  constexpr float Damping = 0.85f;
-  Owner->parallelTracked(0, N, [&](uint32_t, uint64_t Begin, uint64_t End) {
-    for (uint64_t U = Begin; U < End; ++U)
-      Contrib[U] = Rank[U] * InvDegree[U];
-  });
-  float Base = (1.0f - Damping) / static_cast<float>(N);
-  Owner->parallelTracked(0, N, [&](uint32_t, uint64_t Begin, uint64_t End) {
-    for (uint64_t V = Begin; V < End; ++V) {
-      float Acc = 0.0f;
-      uint64_t InBegin = InOffsets[V];
-      uint64_t InEnd = InOffsets[V + 1];
-      for (uint64_t K = InBegin; K < InEnd; ++K)
-        Acc += Contrib[InSrcs[K]];
-      Rank[V] = Base + Damping * Acc;
-    }
-  });
-}
-
 void PageRankKernel::runIteration() {
-  if (runsParallel()) {
-    runParallelIteration();
-    return;
-  }
   uint32_t N = Arrays.NumVertices;
   if (N == 0)
     return;
@@ -571,7 +465,6 @@ uint64_t KCoreKernel::checksum() const {
 //===----------------------------------------------------------------------===//
 
 void SpmvKernel::setup(core::Runtime &Rt, const graph::CsrGraph &G) {
-  Owner = &Rt;
   Arrays = registerGraph(Rt, G, /*WithWeights=*/true);
   ensureWeights(Rt, Arrays);
   bool WasTracking = Rt.trackingEnabled();
@@ -584,32 +477,16 @@ void SpmvKernel::setup(core::Runtime &Rt, const graph::CsrGraph &G) {
   Rt.setTrackingEnabled(WasTracking);
 }
 
-bool SpmvKernel::runsParallel() const {
-  return Owner && Owner->simThreads() > 1;
-}
-
 void SpmvKernel::runIteration() {
   uint32_t N = Arrays.NumVertices;
-  // Rows are independent, so the parallel engine runs the same row body
-  // chunked over threads; per-row accumulation order is unchanged and Y
-  // is bit-identical to the serial pass.
-  auto RowRange = [&](uint64_t Begin, uint64_t End) {
-    for (uint64_t U = Begin; U < End; ++U) {
-      float Acc = 0.0f;
-      uint64_t EdgeBegin = Arrays.RowOffsets[U];
-      uint64_t EdgeEnd = Arrays.RowOffsets[U + 1];
-      for (uint64_t E = EdgeBegin; E < EdgeEnd; ++E)
-        Acc += static_cast<float>(Arrays.Weights[E]) * X[Arrays.Cols[E]];
-      Y[U] = Acc;
-    }
-  };
-  if (runsParallel()) {
-    Owner->parallelTracked(0, N, [&](uint32_t, uint64_t Begin, uint64_t End) {
-      RowRange(Begin, End);
-    });
-    return;
+  for (uint32_t U = 0; U < N; ++U) {
+    float Acc = 0.0f;
+    uint64_t EdgeBegin = Arrays.RowOffsets[U];
+    uint64_t EdgeEnd = Arrays.RowOffsets[U + 1];
+    for (uint64_t E = EdgeBegin; E < EdgeEnd; ++E)
+      Acc += static_cast<float>(Arrays.Weights[E]) * X[Arrays.Cols[E]];
+    Y[U] = Acc;
   }
-  RowRange(0, N);
 }
 
 uint64_t SpmvKernel::checksum() const {

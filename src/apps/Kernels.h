@@ -20,14 +20,10 @@ namespace atmem {
 namespace apps {
 
 /// Breadth-first search from the graph's max-degree hub. Result: per
-/// vertex BFS level (-1 unreached). With SimThreads > 1 each level's
-/// frontier expands in parallel (top-down, atomic level claims); the
-/// level assignment — and so the checksum — is identical to the serial
-/// traversal.
+/// vertex BFS level (-1 unreached).
 class BfsKernel : public Kernel {
 public:
   std::string name() const override { return "bfs"; }
-  bool runsParallel() const override;
   void setup(core::Runtime &Rt, const graph::CsrGraph &G) override;
   void runIteration() override;
   uint64_t checksum() const override;
@@ -36,16 +32,11 @@ public:
   graph::VertexId source() const { return Source; }
 
 private:
-  void runParallelIteration();
-
   GraphArrays Arrays;
   core::TrackedArray<int32_t> Levels;
   graph::VertexId Source = 0;
   std::vector<graph::VertexId> Frontier; ///< Untracked scratch.
   std::vector<graph::VertexId> Next;
-  /// Per-participant next-frontier buffers, concatenated in thread-index
-  /// order at the end of each level (parallel mode only).
-  std::vector<std::vector<graph::VertexId>> LocalNext;
 };
 
 /// Single-source shortest path (frontier Bellman-Ford) from the hub.
@@ -71,14 +62,10 @@ private:
 };
 
 /// One PageRank power iteration per runIteration() (push style, damping
-/// 0.85). Result: per-vertex rank. With SimThreads > 1 the iteration
-/// runs pull-style over an edge-order-stable in-CSR transpose, which
-/// reproduces the serial push's per-vertex float accumulation order
-/// exactly — ranks (and so checksums) are bit-identical to serial.
+/// 0.85). Result: per-vertex rank.
 class PageRankKernel : public Kernel {
 public:
   std::string name() const override { return "pr"; }
-  bool runsParallel() const override;
   void setup(core::Runtime &Rt, const graph::CsrGraph &G) override;
   void runIteration() override;
   uint64_t checksum() const override;
@@ -86,17 +73,10 @@ public:
   const core::TrackedArray<float> &ranks() const { return Rank; }
 
 private:
-  void runParallelIteration();
-
   GraphArrays Arrays;
   core::TrackedArray<float> Rank;
   core::TrackedArray<float> NextRank;
   core::TrackedArray<float> InvDegree;
-  /// Parallel mode only: stable in-edge CSR (sources of v's in-edges in
-  /// global edge order) and the per-source contribution staging array.
-  core::TrackedArray<uint64_t> InOffsets;
-  core::TrackedArray<graph::VertexId> InSrcs;
-  core::TrackedArray<float> Contrib;
 };
 
 /// Betweenness centrality (Brandes) from the hub: forward BFS counting
@@ -188,7 +168,6 @@ class SpmvKernel : public Kernel {
 public:
   std::string name() const override { return "spmv"; }
   bool needsWeights() const override { return true; }
-  bool runsParallel() const override;
   void setup(core::Runtime &Rt, const graph::CsrGraph &G) override;
   void runIteration() override;
   uint64_t checksum() const override;

@@ -72,8 +72,9 @@ struct RunConfig {
   /// Measures post-migration TLB misses by replaying the measured
   /// iteration's accesses through a simulated TLB (Table 4 mode).
   bool MeasureTlb = false;
-  /// Host threads for the parallel tracked-execution engine (see
-  /// core::RuntimeConfig::SimThreads); 1 keeps the serial engine.
+  /// Host threads replaying the LLC model (see
+  /// core::RuntimeConfig::SimThreads); 1 probes the LLC inline. Results
+  /// do not depend on it.
   uint32_t SimThreads = 1;
   /// Re-profile and re-optimize around every measured iteration instead
   /// of the paper's single second-iteration optimize. Each iteration then

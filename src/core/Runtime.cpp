@@ -22,8 +22,6 @@
 using namespace atmem;
 using namespace atmem::core;
 
-constinit thread_local Runtime::ContextBinding Runtime::Bound;
-
 namespace {
 
 void countRetry() {
@@ -192,21 +190,18 @@ void appendSlowRuns(const mem::DataObject &Obj, const mem::ChunkRange &Range,
 Runtime::Runtime(RuntimeConfig ConfigIn)
     : Config(std::move(ConfigIn)), M(Config.Machine), Registry(M),
       Profiler(Registry, Config.Profiler), AtmemMig(Registry),
-      MbindMig(Registry) {
-  // Each engine thread models at least one set of the LLC, so together
-  // the shards never model more cache than configured.
+      MbindMig(Registry), Consumers(Profiler, M.pageTable()) {
+  // Each replay worker owns at least one set of the LLC.
   if (Config.SimThreads > M.llc().sets())
     reportFatalError("SimThreads " + std::to_string(Config.SimThreads) +
                      " exceeds the LLC's " + std::to_string(M.llc().sets()) +
                      " sets");
   if (Config.SimThreads > 1) {
-    // Each thread's shard models its partition of the shared LLC.
-    sim::CacheConfig Shard = Config.Machine.Cache;
-    Shard.SizeBytes /= Config.SimThreads;
-    Contexts.reserve(Config.SimThreads);
-    for (uint32_t T = 0; T < Config.SimThreads; ++T)
-      Contexts.push_back(std::make_unique<SimContext>(Shard));
-    KernelPool = std::make_unique<mem::ThreadPool>(Config.SimThreads);
+    Replay =
+        std::make_unique<SetReplay>(M.llc(), Consumers, Config.SimThreads);
+    // No worker came up: the inline engine gives the same results.
+    if (Replay->workers() == 0)
+      Replay.reset();
   }
   if (Config.Telemetry.Enabled || Config.Telemetry.anyOutput())
     obs::setEnabled(true);
@@ -286,46 +281,18 @@ Runtime::~Runtime() {
     StatsServer->stop();
 }
 
-void Runtime::onMiss(const TrackHandle &Handle, uint64_t Offset,
-                     uint64_t Va) {
-  M.llc().fill(Va);
-  ++Stats.TierMisses[Handle.ChunkTiers[Offset >> Handle.ChunkShift]];
-  Profiler.notifyMiss(Va);
-  if (MissTrace)
-    MissTrace->record(Va);
-  if (ReplayTlb)
-    replayTlbAccess(Va);
-}
-
-void Runtime::parallelTracked(uint64_t Begin, uint64_t End,
-                              const TrackedBody &Body, uint64_t ChunkSize) {
-  if (Begin >= End)
-    return;
-  if (Contexts.empty()) {
-    Body(0, Begin, End);
-    return;
-  }
-  bool BufferMisses = Profiler.isActive() || MissTrace || ReplayTlb;
-  for (auto &Ctx : Contexts)
-    Ctx->setBufferMisses(BufferMisses);
-  if (ChunkSize == 0)
-    ChunkSize = std::max<uint64_t>((End - Begin) / (Contexts.size() * 16), 64);
-  KernelPool->parallelForThreaded(
-      Begin, End, ChunkSize,
-      [&](uint32_t Tid, uint64_t ChunkBegin, uint64_t ChunkEnd) {
-        Bound = {this, Contexts[Tid].get()};
-        Body(Tid, ChunkBegin, ChunkEnd);
-        Bound = {};
-      });
-}
-
 void Runtime::profilingStart() {
+  drain();
   Profiler.start(Config.Machine.Exec.Threads);
 }
 
-void Runtime::profilingStop() { Profiler.stop(); }
+void Runtime::profilingStop() {
+  drain();
+  Profiler.stop();
+}
 
 mem::MigrationResult Runtime::optimize() {
+  drain();
   if (Profiler.isActive())
     Profiler.stop();
 
@@ -522,7 +489,7 @@ void Runtime::captureEpochSample(const mem::MigrationResult &Result,
     S.Retries = EpochRetries;
     S.Rollbacks = EpochRollbacks;
     S.MigrateSimSec = Result.SimSeconds;
-    S.FastDataRatio = fastDataRatio();
+    S.FastDataRatio = currentFastDataRatio();
     S.OptimizeWallUs = WallUs;
     S.IterationWallUs = IterWallUs;
     if (obs::TimeSeries::instance().enabled())
@@ -873,9 +840,8 @@ void Runtime::recordSkipped(const mem::DataObject &Obj,
 }
 
 void Runtime::beginIteration() {
+  drain();
   Stats = sim::AccessStats();
-  for (auto &Ctx : Contexts)
-    Ctx->beginIteration();
   if (obs::enabled() && !IterationSpanOpen) {
     obs::Tracer::instance().begin("runtime.iteration", "runtime");
     IterationSpanOpen = true;
@@ -883,7 +849,7 @@ void Runtime::beginIteration() {
 }
 
 double Runtime::endIteration() {
-  mergeContexts();
+  drain();
   double SimSec = M.kernelModel().estimate(Stats).seconds();
   if (obs::enabled()) {
     static obs::Counter Iterations("runtime.iterations");
@@ -898,13 +864,13 @@ double Runtime::endIteration() {
     MissesFast.add(Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)]);
     MissesSlow.add(Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)]);
     IterUs.recordSeconds(SimSec);
-    if (ReplayTlb) {
+    if (const sim::Tlb *Tlb = Consumers.tlb()) {
       // Hoisted like the counters above: constructing a Gauge by name is
       // a registry lookup that has no place in the per-iteration path.
       static obs::Gauge TlbHits("runtime.tlb_hits");
       static obs::Gauge TlbMisses("runtime.tlb_misses");
-      TlbHits.set(static_cast<double>(ReplayTlb->hits()));
-      TlbMisses.set(static_cast<double>(ReplayTlb->misses()));
+      TlbHits.set(static_cast<double>(Tlb->hits()));
+      TlbMisses.set(static_cast<double>(Tlb->misses()));
     }
   }
   if (IterationSpanOpen) {
@@ -918,129 +884,10 @@ double Runtime::endIteration() {
   return SimSec;
 }
 
-void Runtime::mergeContexts() {
-  if (Contexts.empty())
-    return;
-  if (Config.BatchedDrain)
-    drainBatched();
-  else
-    drainReference();
-}
-
-void Runtime::drainReference() {
-  // Pre-optimization drain, preserved verbatim: one profiler countdown
-  // step, one trace append, and one uncached page-table walk per miss.
-  for (auto &Ctx : Contexts) {
-    Stats += Ctx->stats();
-    Ctx->stats() = sim::AccessStats();
-    for (uint64_t Va : Ctx->missBuffer()) {
-      Profiler.notifyMissReference(Va);
-      if (MissTrace)
-        MissTrace->record(Va);
-      if (ReplayTlb)
-        replayTlbAccessUncached(Va);
-    }
-    Ctx->recycleMissBuffer();
-  }
-}
-
-void Runtime::drainBatched() {
-  // Stage 1 — merge shard stats and scan the buffers for samples, both in
-  // thread-index order. Sample *selection* depends only on the miss order
-  // (attribution never feeds back into it), so the buffers' concatenation
-  // order fully determines which misses are chosen.
-  PendingScratch.clear();
-  for (auto &Ctx : Contexts) {
-    Stats += Ctx->stats();
-    Ctx->stats() = sim::AccessStats();
-    const std::vector<uint64_t> &Buf = Ctx->missBuffer();
-    Profiler.selectSamples(Buf.data(), Buf.size(), PendingScratch);
-  }
-
-  // Stages 2-3 — attribute each selected sample to (object, chunk) and
-  // commit it in selection order. Floating-point profile accumulation
-  // happens in exactly the per-miss order, keeping results bit-identical
-  // to the reference drain.
-  for (const prof::PendingSample &S : PendingScratch) {
-    mem::Attribution Attr;
-    bool Attributed = Registry.attributeIndexed(S.Va, Attr, SerialAttrHint);
-    Profiler.commitSample(S, Attributed, Attr);
-  }
-
-  // Stage 4 — TLB replay.
-  if (ReplayTlb)
-    replayTlbBatched();
-
-  // Stage 5 — trace hand-off and buffer recycling. The miss buffers are
-  // donated to the trace writer's spill thread zero-copy, in thread-index
-  // order (the same order the synchronous recordBatch calls used, so the
-  // file bytes are unchanged); each context gets a drained segment back.
-  // This runs after the TLB replay because the replay still reads the
-  // buffers; the trace content itself depends on nothing downstream.
-  for (auto &Ctx : Contexts) {
-    if (MissTrace && !Ctx->missBuffer().empty())
-      MissTrace->recordBatchOwned(
-          Ctx->donateMissBuffer(MissTrace->takeRecycled()));
-    else
-      Ctx->recycleMissBuffer();
-  }
-}
-
-void Runtime::replayTlbBatched() {
-  if (!ReplayCache)
-    ReplayCache = std::make_unique<sim::TranslationCache>(M.pageTable());
-  sim::TranslationCache &Cache = *ReplayCache;
-  sim::Tlb &Tlb = *ReplayTlb;
-  // The page table cannot mutate while we replay, so the epoch check
-  // runs once here instead of per miss, and the loop needs only the
-  // page size — not the reconstructed frame — from the cache.
-  Cache.revalidate();
-  // Huge-page run skip: a 2 MiB VA region is uniformly mapped (one huge
-  // page or 512 small ones), so once a miss resolves huge, every
-  // following miss in the same 2 MiB frame shares that translation —
-  // one translation per run instead of one per miss.
-  sim::TlbArray &HugeTlb = Tlb.hugeArray();
-  sim::TlbArray &SmallTlb = Tlb.smallArray();
-  uint64_t RunHugeVpn = ~0ull;
-  for (auto &Ctx : Contexts)
-    for (uint64_t Va : Ctx->missBuffer()) {
-      uint64_t HugeVpn = Va >> 21;
-      if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
-        RunHugeVpn = HugeVpn;
-        HugeTlb.accessVpn(HugeVpn);
-        continue;
-      }
-      uint64_t PageBytes;
-      if (!Cache.translatePageBytes(Va, PageBytes))
-        continue;
-      if (PageBytes == sim::HugePageBytes) {
-        RunHugeVpn = HugeVpn;
-        HugeTlb.accessVpn(HugeVpn);
-      } else {
-        RunHugeVpn = ~0ull;
-        SmallTlb.access(Va);
-      }
-    }
-}
-
-double Runtime::fastDataRatio() const {
+double Runtime::currentFastDataRatio() const {
   uint64_t Total = Registry.totalMappedBytes();
   if (Total == 0)
     return 0.0;
   return static_cast<double>(Registry.totalBytesOn(sim::TierId::Fast)) /
          static_cast<double>(Total);
-}
-
-void Runtime::replayTlbAccess(uint64_t Va) {
-  if (!ReplayCache)
-    ReplayCache = std::make_unique<sim::TranslationCache>(M.pageTable());
-  sim::Translation T;
-  if (ReplayCache->translate(Va, T))
-    ReplayTlb->access(Va, T.PageBytes);
-}
-
-void Runtime::replayTlbAccessUncached(uint64_t Va) {
-  sim::Translation T;
-  if (M.pageTable().translate(Va, T))
-    ReplayTlb->access(Va, T.PageBytes);
 }

@@ -22,11 +22,10 @@
 #define ATMEM_CORE_RUNTIME_H
 
 #include "analyzer/Analyzer.h"
-#include "core/SimContext.h"
+#include "core/Engine.h"
 #include "mem/AtmemMigrator.h"
 #include "mem/DataObjectRegistry.h"
 #include "mem/MbindMigrator.h"
-#include "mem/ThreadPool.h"
 #include "obs/Telemetry.h"
 #include "profiler/SamplingProfiler.h"
 #include "profiler/TraceFile.h"
@@ -34,7 +33,6 @@
 #include "sim/TranslationCache.h"
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,22 +100,15 @@ struct RuntimeConfig {
   uint32_t MigrationMaxRetries = 2;
   /// Simulated back-off added before the Nth retry (linear: N * this).
   double MigrationRetryBackoffSec = 100e-6;
-  /// Host threads the tracked-execution engine uses for parallel kernel
-  /// regions (Runtime::parallelTracked). 1 (the default) keeps the serial
-  /// engine and is bit-identical to the pre-sharding runtime; T > 1 gives
-  /// each thread a private LLC shard of SizeBytes / T plus private stats
-  /// and miss buffers, merged deterministically at endIteration(). T above
-  /// the LLC's set count is a fatal error in the constructor. The
-  /// runtime's only host-parallelism setting: the migrator and the miss
-  /// drain run on the calling thread.
+  /// Host threads that replay the LLC model (core/Engine.h). 1 (the
+  /// default) probes the LLC inline on the kernel's thread; T >= 2 runs
+  /// the kernel's serial code on the calling thread and replays the one
+  /// full-size LLC on T workers, one contiguous range of sets each. Every
+  /// value gives the same results bit for bit; T above the LLC's set count
+  /// is a fatal error in the constructor. The runtime's only
+  /// host-parallelism setting: the migrator runs on the calling thread,
+  /// and the miss consumers on it or on the replay workers.
   uint32_t SimThreads = 1;
-  /// Drains buffered shard misses through the batched pipeline: arithmetic
-  /// sample pre-selection, bulk trace append, indexed attribution, and
-  /// cached TLB-replay translation. false selects the reference
-  /// per-miss drain (per-event countdown, linear attribution walk, uncached
-  /// page-table translation) — observably identical results, kept as the
-  /// equivalence-suite oracle and the perf baseline.
-  bool BatchedDrain = true;
   /// Telemetry collection and export. Constructing a Runtime with
   /// Enabled (or any output path) set arms the process-wide obs switch;
   /// with the default (disabled) config every instrumentation site costs
@@ -155,7 +146,10 @@ public:
   TrackedArray<T> allocate(const std::string &Name, size_t Count);
 
   /// Unregisters an object; equivalent to atmem_free().
-  void release(mem::ObjectId Id) { Registry.destroy(Id); }
+  void release(mem::ObjectId Id) {
+    drain();
+    Registry.destroy(Id);
+  }
 
   /// Arms hardware sampling (paper atmem_profiling_start()).
   void profilingStart();
@@ -176,24 +170,27 @@ public:
   void beginIteration();
   /// Ends the iteration and returns its simulated duration in seconds.
   double endIteration();
-  const sim::AccessStats &iterationStats() const { return Stats; }
+  const sim::AccessStats &iterationStats() {
+    drain();
+    return Stats;
+  }
   /// @}
 
   /// Hot path: one tracked access at byte offset \p Offset of the object
-  /// behind \p Handle. Inside a parallelTracked() region the access goes
-  /// to the calling thread's private SimContext shard, lock-free;
-  /// otherwise it is inline: flag test and LLC probe, with the fill,
-  /// per-tier accounting and profiler feed of a miss out of line.
+  /// behind \p Handle. Inline engine: flag test and LLC probe, with the
+  /// fill, per-tier accounting and miss consumers out of line. Replay
+  /// engine: one record appended for the set-range workers.
   [[gnu::always_inline]] void onAccess(const TrackHandle &Handle,
                                        uint64_t Offset) {
     if (!TrackingEnabled)
       return;
-    if (Bound.Owner == this) {
-      Bound.Ctx->onAccess(Handle, Offset);
+    uint64_t Va = Handle.VaBase + Offset;
+    if (Replay) {
+      if (Replay->record(Va, Handle.ChunkTiers[Offset >> Handle.ChunkShift]))
+        onBlockFull();
       return;
     }
     ++Stats.Accesses;
-    uint64_t Va = Handle.VaBase + Offset;
     if (M.llc().probe(Va)) {
       ++Stats.LlcHits;
       return;
@@ -201,47 +198,42 @@ public:
     onMiss(Handle, Offset, Va);
   }
 
-  /// \name Parallel tracked execution
-  /// @{
-  /// Body of a parallel tracked region: participant index in
-  /// [0, simThreads()), then the chunk's [Begin, End).
-  using TrackedBody = std::function<void(uint32_t, uint64_t, uint64_t)>;
-
-  /// Runs \p Body over [Begin, End) on the kernel thread pool with
-  /// chunked dynamic scheduling, binding each participant's tracked
-  /// accesses to its SimContext shard. With SimThreads <= 1 the body runs
-  /// inline as Body(0, Begin, End) on the serial engine. \p ChunkSize 0
-  /// picks a size aimed at ~16 chunks per thread.
-  void parallelTracked(uint64_t Begin, uint64_t End, const TrackedBody &Body,
-                       uint64_t ChunkSize = 0);
-
-  /// Threads the tracked-execution engine runs kernels with.
-  uint32_t simThreads() const {
-    return Contexts.empty() ? 1
-                            : static_cast<uint32_t>(Contexts.size());
-  }
-
-  /// Shard \p Index's context (tests and diagnostics).
-  SimContext &simContext(uint32_t Index) { return *Contexts[Index]; }
-  /// @}
+  /// Workers replaying the LLC (fewer than SimThreads if spawns failed),
+  /// or 1 for the inline engine.
+  uint32_t simThreads() const { return Replay ? Replay->workers() : 1; }
 
   /// Enables/disables all tracking (e.g. during graph construction).
-  void setTrackingEnabled(bool Enabled) { TrackingEnabled = Enabled; }
+  void setTrackingEnabled(bool Enabled) {
+    drain();
+    TrackingEnabled = Enabled;
+  }
   bool trackingEnabled() const { return TrackingEnabled; }
 
-  /// Attaches a TLB that every tracked access replays against the current
-  /// page table (Table 4 measurement mode); nullptr detaches.
-  void setReplayTlb(sim::Tlb *Tlb) { ReplayTlb = Tlb; }
+  /// Attaches a TLB that every LLC miss replays against the current page
+  /// table (Table 4 measurement mode); nullptr detaches. Replay workers
+  /// may use it until it is detached, so detach it before destroying it.
+  void setReplayTlb(sim::Tlb *Tlb) {
+    drain();
+    Consumers.setTlb(Tlb);
+  }
 
   /// Attaches a trace writer that records every LLC-miss address (for
   /// offline analysis through prof::OfflineProfiler); nullptr detaches.
-  void setMissTrace(prof::TraceWriter *Writer) { MissTrace = Writer; }
+  /// Detach it before finishing or destroying it.
+  void setMissTrace(prof::TraceWriter *Writer) {
+    drain();
+    Consumers.setTrace(Writer);
+  }
 
   /// Fraction of registered bytes currently on the fast tier.
-  double fastDataRatio() const;
+  double fastDataRatio() {
+    drain();
+    return currentFastDataRatio();
+  }
 
   /// Modelled profiler overhead accumulated since profilingStart().
-  double profilingOverheadSeconds() const {
+  double profilingOverheadSeconds() {
+    drain();
     return Profiler.overheadSeconds();
   }
 
@@ -254,25 +246,48 @@ public:
   /// instead of dropping them.
   const std::vector<SkippedChunk> &skippedChunks() const { return Skipped; }
 
-  sim::Machine &machine() { return M; }
-  mem::DataObjectRegistry &registry() { return Registry; }
-  prof::SamplingProfiler &profiler() { return Profiler; }
+  /// \name Components
+  /// Each drains the replay first, so the caller sees (and may change)
+  /// state that every access so far has reached.
+  /// @{
+  sim::Machine &machine() {
+    drain();
+    return M;
+  }
+  mem::DataObjectRegistry &registry() {
+    drain();
+    return Registry;
+  }
+  prof::SamplingProfiler &profiler() {
+    drain();
+    return Profiler;
+  }
+  /// @}
   const RuntimeConfig &config() const { return Config; }
   analyzer::AnalyzerConfig &analyzerConfig() { return Config.Analyzer; }
 
 private:
-  /// Miss half of the serial onAccess(): fills the LLC and feeds the
-  /// per-tier counts, the profiler, the miss trace and the TLB replay.
+  /// \name Engine (Engine.cpp)
+  /// @{
+  /// Miss half of the inline onAccess(): fills the LLC and feeds the
+  /// per-tier counts and the miss consumers.
   [[gnu::noinline]] void onMiss(const TrackHandle &Handle, uint64_t Offset,
                                 uint64_t Va);
+  /// Publishes the full open block to the replay workers.
+  [[gnu::noinline]] void onBlockFull();
+  /// Waits for the replay of every access so far; adds its counts to
+  /// Stats.
+  void drainReplay();
+  /// Brings Stats and the miss consumers up to every access so far. Every
+  /// public call but onAccess() that touches simulation state runs it
+  /// first.
+  void drain() {
+    if (Replay && Replay->pending())
+      drainReplay();
+  }
+  /// @}
 
-  /// Replays \p Va against the TLB through the epoch-validated translation
-  /// cache (identical verdicts to a direct page-table walk).
-  void replayTlbAccess(uint64_t Va);
-
-  /// Reference replay path: a direct page-table walk per miss, as the
-  /// pre-batching runtime did. Used by the BatchedDrain=false drain.
-  void replayTlbAccessUncached(uint64_t Va);
+  double currentFastDataRatio() const;
 
   /// Migrates fast-resident chunks that LastPlan no longer selects back
   /// to the slow tier (the adaptive re-optimization path).
@@ -294,32 +309,6 @@ private:
                      sim::TierId Target,
                      const std::vector<double> *Priorities);
 
-  /// Merges shard stats into Stats and replays buffered misses through
-  /// the profiler / trace / TLB consumers, in thread-index order, on the
-  /// calling thread. With Config.BatchedDrain this runs the staged
-  /// pipeline (select → attribute and commit in order → TLB replay →
-  /// trace hand-off); otherwise the reference per-miss loop.
-  void mergeContexts();
-
-  /// Batched drain stages over the per-context miss buffers.
-  void drainBatched();
-  /// Stage 4 of the batched drain: TLB replay over every shard buffer with
-  /// a huge-page run skip.
-  void replayTlbBatched();
-  /// Reference per-miss drain (pre-optimization behaviour).
-  void drainReference();
-
-  /// The calling thread's shard binding inside a parallelTracked region.
-  /// Owner disambiguates between runtimes when several coexist (the
-  /// concurrent bench harness runs one runtime per job thread).
-  struct ContextBinding {
-    Runtime *Owner = nullptr;
-    SimContext *Ctx = nullptr;
-  };
-  /// constinit: accesses read the binding directly instead of calling a
-  /// TLS init wrapper first.
-  static constinit thread_local ContextBinding Bound;
-
   RuntimeConfig Config;
   sim::Machine M;
   mem::DataObjectRegistry Registry;
@@ -330,22 +319,11 @@ private:
   /// Planned-but-unplaced chunks from the most recent optimize().
   std::vector<SkippedChunk> Skipped;
   sim::AccessStats Stats;
-  /// One shard per SimThread when SimThreads > 1 (else empty).
-  std::vector<std::unique_ptr<SimContext>> Contexts;
-  /// Pool sized SimThreads driving parallelTracked (null when serial);
-  /// the only host thread pool a runtime owns.
-  std::unique_ptr<mem::ThreadPool> KernelPool;
-  sim::Tlb *ReplayTlb = nullptr;
-  prof::TraceWriter *MissTrace = nullptr;
-  /// Direct-mapped translation cache for TLB replay, built lazily on
-  /// first use (only when a replay TLB is attached).
-  std::unique_ptr<sim::TranslationCache> ReplayCache;
-  /// Reused drain scratch: the samples stage 1 selected.
-  std::vector<prof::PendingSample> PendingScratch;
-  /// Attribution hint recycled across drains: graph iterations miss in
-  /// the same objects, so last drain's hint starts warm instead of
-  /// re-walking the registry index from cold every batch.
-  mem::AttributionHint SerialAttrHint;
+  MissConsumers Consumers;
+  /// The set-partitioned replay when SimThreads >= 2 and a worker came
+  /// up (else null: the inline engine). Its workers are the only host
+  /// threads a runtime owns; declared after M, whose LLC they replay.
+  std::unique_ptr<SetReplay> Replay;
   bool TrackingEnabled = true;
   /// True while a "runtime.iteration" trace span is open (beginIteration
   /// ran with telemetry enabled; endIteration closes it).
@@ -430,6 +408,7 @@ private:
 
 template <typename T>
 TrackedArray<T> Runtime::allocate(const std::string &Name, size_t Count) {
+  drain();
   uint64_t SizeBytes = Count * sizeof(T);
   uint64_t ChunkOverride = Config.ChunkBytesOverride;
   if (Config.WholeObjectChunks) {

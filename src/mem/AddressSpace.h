@@ -27,11 +27,14 @@ class AddressSpace {
 public:
   /// Base virtual address of the first region handed out.
   static constexpr uint64_t BaseVa = 0x100000000000ull;
+  /// Every region ends below this: the LLC replay's access records keep
+  /// 48 address bits (core/Engine.h).
+  static constexpr uint64_t LimitVa = uint64_t{1} << 48;
 
   /// Reserves a region of at least \p SizeBytes. The returned address is
   /// 2 MiB aligned and the reserved length is \p SizeBytes rounded up to a
   /// whole number of 4 KiB pages. A 2 MiB guard gap separates consecutive
-  /// regions.
+  /// regions. Aborts when the region would reach LimitVa.
   uint64_t reserve(uint64_t SizeBytes);
 
   /// Total bytes reserved so far (excluding guard gaps).

@@ -127,22 +127,6 @@ bool DataObjectRegistry::attributeIndexed(uint64_t Va, Attribution &Out,
   return true;
 }
 
-bool DataObjectRegistry::attribute(uint64_t Va, Attribution &Out) const {
-  // Registration counts are small (tens of objects); a linear scan is
-  // simpler than maintaining a sorted index and never shows up in
-  // profiles because attribution runs only on sampled misses.
-  for (const auto &Obj : Objects) {
-    if (!Obj)
-      continue;
-    if (Va >= Obj->va() && Va < Obj->va() + Obj->mappedBytes()) {
-      Out.Object = Obj->id();
-      Out.Chunk = Obj->chunkOf(Va - Obj->va());
-      return true;
-    }
-  }
-  return false;
-}
-
 DataObject &DataObjectRegistry::object(ObjectId Id) {
   if (Id >= Objects.size() || !Objects[Id])
     reportFatalError("lookup of unknown data object");

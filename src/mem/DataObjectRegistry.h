@@ -75,16 +75,12 @@ public:
   /// Unmaps and destroys the object identified by \p Id.
   void destroy(ObjectId Id);
 
-  /// Resolves a simulated virtual address to its object and chunk.
-  /// Returns false for addresses outside every live object. This is the
-  /// linear reference walk; the batched pipeline uses attributeIndexed(),
-  /// which returns identical results (objects never overlap).
-  bool attribute(uint64_t Va, Attribution &Out) const;
-
-  /// O(log objects) attribution over a sorted interval index that is
-  /// rebuilt on create/destroy, with an O(1) last-hit fast path through
-  /// \p Hint. Safe to call concurrently from many threads (each with its
-  /// own hint) as long as no object is created or destroyed meanwhile.
+  /// Resolves a simulated virtual address to its object and chunk, or
+  /// returns false for addresses outside every live object. O(log
+  /// objects) over a sorted interval index that is rebuilt on
+  /// create/destroy, with an O(1) last-hit fast path through \p Hint.
+  /// Safe to call concurrently from many threads (each with its own hint)
+  /// as long as no object is created or destroyed meanwhile.
   bool attributeIndexed(uint64_t Va, Attribution &Out,
                         AttributionHint &Hint) const;
 

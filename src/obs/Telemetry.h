@@ -7,10 +7,9 @@
 ///
 /// \file
 /// Process-wide runtime telemetry: named counters, gauges, and log-scale
-/// histograms over per-thread sharded slots. The hot path mirrors the
-/// SimContext design of the parallel tracked-execution engine: a thread
-/// increments only its own slab (single writer, relaxed atomics, no shared
-/// cache line), and slabs are merged when a snapshot is taken. Collection
+/// histograms over per-thread sharded slots. A thread increments only its
+/// own slab (single writer, relaxed atomics, no shared cache line), and
+/// slabs are merged when a snapshot is taken. Collection
 /// is disabled by default; every record operation then costs exactly one
 /// relaxed atomic load and a branch, so instrumented code paths stay
 /// byte-identical in behaviour and essentially free.

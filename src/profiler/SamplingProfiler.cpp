@@ -110,33 +110,6 @@ void SamplingProfiler::recordSample(uint64_t Va) {
   commitSample(S, Attributed, Attr);
 }
 
-void SamplingProfiler::notifyMissReference(uint64_t Va) {
-  if (!Active)
-    return;
-  ++MissesSeen;
-  if (--Countdown != 0)
-    return;
-  // Original per-sample body: linear registry walk, accumulate at the
-  // pre-doubling period, then adapt.
-  ++SamplesTaken;
-  mem::Attribution Attr;
-  if (Registry.attribute(Va, Attr)) {
-    if (Profiles.size() <= Attr.Object)
-      Profiles.resize(Attr.Object + 1);
-    ObjectProfile &Profile = Profiles[Attr.Object];
-    if (Profile.Samples.empty()) {
-      uint32_t Chunks = Registry.object(Attr.Object).numChunks();
-      Profile.Samples.assign(Chunks, 0);
-      Profile.EstimatedMisses.assign(Chunks, 0.0);
-    }
-    ++Profile.Samples[Attr.Chunk];
-    Profile.EstimatedMisses[Attr.Chunk] += static_cast<double>(Period);
-  }
-  if (SamplesTaken % SampleBudget == 0)
-    Period *= 2;
-  Countdown = Period;
-}
-
 void SamplingProfiler::selectSamples(const uint64_t *Vas, size_t N,
                                      std::vector<PendingSample> &Out) {
   if (!Active)

@@ -18,11 +18,10 @@
 /// long profiling window does not oversample ("avoids unnecessarily high
 /// sampling frequency while ensuring efficient information collection").
 ///
-/// The serial engine feeds misses one at a time (notifyMiss). The sharded
-/// engine buffers them, and the thread that ends the iteration drains the
-/// buffers serially, in thread-index order: selectSamples() picks the
-/// samples, the registry attributes each one, and commitSample() folds it
-/// into the profiles.
+/// The inline engine feeds misses one at a time (notifyMiss). The
+/// set-partitioned replay hands over each block's misses in serial order
+/// (notifyMissBatch): selectSamples() picks the samples, the registry
+/// attributes each one, and commitSample() folds it into the profiles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,12 +97,6 @@ public:
   /// interval index.
   void notifyMissBatch(const uint64_t *Vas, size_t N);
 
-  /// Reference per-miss drain: the pre-optimization path (per-event
-  /// countdown, linear registry walk). Kept so the equivalence suite and
-  /// the micro benchmark can compare the batched pipeline against the
-  /// original behaviour byte for byte.
-  void notifyMissReference(uint64_t Va);
-
   /// Stage 1 of the batched drain: advances the sampling state over \p N
   /// ordered misses exactly as N notifyMiss() calls would, and appends the
   /// selected samples to \p Out without attributing them. Selection
@@ -123,6 +116,9 @@ public:
 
   /// The period the window started with, before budget-driven doubling.
   uint64_t initialPeriod() const { return StartPeriod; }
+
+  /// Samples between period doublings in the current window.
+  uint64_t sampleBudget() const { return SampleBudget; }
 
   uint64_t sampleCount() const { return SamplesTaken; }
   uint64_t missesSeen() const { return MissesSeen; }

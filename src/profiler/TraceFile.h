@@ -111,8 +111,8 @@ private:
   void writerLoop();
 
   static constexpr size_t FlushThreshold = 1 << 16;
-  /// Bounded queue depth: enough for one drain's worth of shard buffers
-  /// plus headroom, small enough to cap memory at a few segments.
+  /// Bounded queue depth: a few flush-sized segments of headroom, small
+  /// enough to cap memory.
   static constexpr size_t MaxQueuedSegments = 8;
   static constexpr size_t MaxPooledSegments = 8;
 

@@ -28,7 +28,9 @@
 /// way". flushAll() resets every set's ranks to the way index, which
 /// keeps the invalid ways ranked above the valid ones in way order, so
 /// the way ranked Ways-1 is the last invalid way while one remains. Sets
-/// share no state: there is no global clock.
+/// share no state: there is no global clock, and probe()/fill() count
+/// nothing, so the set-partitioned replay (core/Engine.h) runs one set
+/// range per thread on one cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,38 +60,33 @@ public:
   /// size is a power of two.
   explicit CacheSim(const CacheConfig &Config);
 
-  /// Records an access to \p Va. Returns true on a hit.
+  /// Records an access to \p Va and counts it in hits() or misses().
+  /// Returns true on a hit.
   bool access(uint64_t Va) {
-    if (probe(Va))
+    if (probe(Va)) {
+      ++Hits;
       return true;
+    }
     fill(Va);
+    ++Misses;
     return false;
   }
 
-  /// Hit half of access(): on a hit refreshes the line's recency, counts
-  /// the hit and returns true; on a miss changes nothing and returns
-  /// false. Callers that see false must call fill(Va) next.
+  /// Hit half of access(): on a hit refreshes the line's recency and
+  /// returns true; on a miss changes nothing and returns false. Callers
+  /// that see false must call fill(Va) next. probe() and fill() touch
+  /// only \p Va's set and count nothing, so threads may use them
+  /// concurrently on disjoint sets.
   [[gnu::always_inline]] bool probe(uint64_t Va) {
     uint64_t Line = Va >> LineShift;
     uint32_t Set = static_cast<uint32_t>(Line) & SetMask;
-    uint64_t Tag = Line >> SetShift;
-    SetRows &Rows = Meta[Set];
-    const uint64_t *TagRow = Tags.data() + static_cast<size_t>(Set) * MaxWays;
-    for (unsigned Candidates = matchFingerprint(Rows, Tag); Candidates;
-         Candidates &= Candidates - 1) {
-      unsigned Way = static_cast<unsigned>(__builtin_ctz(Candidates));
-      if (TagRow[Way] == Tag) {
-        touch(Rows, Rows.Rank[Way]);
-        ++Hits;
-        return true;
-      }
-    }
-    return false;
+    return probeSet(Meta[Set], Tags.data() + static_cast<size_t>(Set) * MaxWays,
+                    Line >> SetShift);
   }
 
   /// Miss half of access(): installs \p Va's line in its set's victim way
-  /// (the way ranked Ways-1) as the most recent line and counts the miss.
-  /// Only valid right after probe(Va) returned false.
+  /// (the way ranked Ways-1) as the most recent line. Only valid right
+  /// after probe(Va) returned false.
   void fill(uint64_t Va) {
     uint64_t Line = Va >> LineShift;
     uint32_t Set = static_cast<uint32_t>(Line) & SetMask;
@@ -97,7 +94,29 @@ public:
     unsigned Way = replace(Meta[Set], static_cast<uint8_t>(Ways - 1),
                            static_cast<uint8_t>(Tag));
     Tags[static_cast<size_t>(Set) * MaxWays + Way] = Tag;
-    ++Misses;
+  }
+
+  /// probe() and, on a miss, fill() for the address in the \p VaMask bits
+  /// of each of \p N keys, in order; calls OnMiss(I) after key I's fill.
+  /// The geometry is copied into locals first, so the loop does not
+  /// reload it after every set update, and a hit touches no counter.
+  template <typename MissFn>
+  void replay(const uint64_t *Keys, size_t N, uint64_t VaMask,
+              MissFn &&OnMiss) {
+    SetRows *MetaRows = Meta.data();
+    uint64_t *TagRows = Tags.data();
+    const uint32_t Shift = LineShift, Mask = SetMask, TagShift = SetShift;
+    const auto Lru = static_cast<uint8_t>(Ways - 1);
+    for (size_t I = 0; I < N; ++I) {
+      uint64_t Line = (Keys[I] & VaMask) >> Shift;
+      uint32_t Set = static_cast<uint32_t>(Line) & Mask;
+      uint64_t Tag = Line >> TagShift;
+      uint64_t *TagRow = TagRows + static_cast<size_t>(Set) * MaxWays;
+      if (probeSet(MetaRows[Set], TagRow, Tag))
+        continue;
+      TagRow[replace(MetaRows[Set], Lru, static_cast<uint8_t>(Tag))] = Tag;
+      OnMiss(I);
+    }
   }
 
   /// Empties the cache (used between measured iterations when cold-cache
@@ -112,6 +131,10 @@ public:
   }
 
   uint32_t sets() const { return Sets; }
+  /// log2(sets()) and log2(lineBytes()): \p Va maps to set
+  /// (Va >> lineShift()) & (sets() - 1).
+  uint32_t setShift() const { return SetShift; }
+  uint32_t lineShift() const { return LineShift; }
   uint32_t lineBytes() const { return LineBytes; }
   uint64_t sizeBytes() const {
     return static_cast<uint64_t>(Sets) * Ways * LineBytes;
@@ -126,6 +149,22 @@ private:
     uint8_t Fingerprint[MaxWays] = {};
     uint8_t Rank[MaxWays] = {};
   };
+
+  /// The probe of one set: on a tag match touches the way and returns
+  /// true.
+  [[gnu::always_inline]] static bool probeSet(SetRows &Rows,
+                                              const uint64_t *TagRow,
+                                              uint64_t Tag) {
+    for (unsigned Candidates = matchFingerprint(Rows, Tag); Candidates;
+         Candidates &= Candidates - 1) {
+      unsigned Way = static_cast<unsigned>(__builtin_ctz(Candidates));
+      if (TagRow[Way] == Tag) {
+        touch(Rows, Rows.Rank[Way]);
+        return true;
+      }
+    }
+    return false;
+  }
 
   /// Bit W set when way W's fingerprint equals \p Tag's low byte.
   static unsigned matchFingerprint(const SetRows &Rows, uint64_t Tag) {

@@ -115,6 +115,13 @@ public:
     return false;
   }
 
+  /// Counts \p N hits without probing: exactly what \p N calls of
+  /// accessVpn() on the VPN this array accessed last would do. That way
+  /// already holds the newest stamp, so a repeat changes no LRU order and
+  /// no later victim; only the hit count moves. The batched TLB replay
+  /// collapses runs of misses to one 2 MiB page through this.
+  void countHits(uint64_t N) { Hits += N; }
+
   /// Invalidates the entry for the page containing \p Va, if present.
   void flushPage(uint64_t Va);
 

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Fork-join data parallelism over std::thread for the dataset build, the
-/// one parallel layer outside the runtime (whose only thread pool is the
-/// kernel pool, mem::ThreadPool). Callers split work into contiguous
+/// one parallel layer outside the runtime (whose only threads are the LLC
+/// replay workers, core::SetReplay). Callers split work into contiguous
 /// slices and keep every result independent of the slice count.
 ///
 //===----------------------------------------------------------------------===//

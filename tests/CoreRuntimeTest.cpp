@@ -176,8 +176,9 @@ TEST(RuntimeTest, ReleaseRemovesObject) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread budget: the kernel pool is the only host thread pool a runtime
-// owns. The migrator copies and the miss drain run on the calling thread.
+// Thread budget: the LLC replay workers are the only host threads a
+// runtime owns. The kernel, the migrator copies and the miss consumers run
+// on the calling thread or on those workers.
 //===----------------------------------------------------------------------===//
 
 /// Threads in this process, or 0 where /proc/self/task is missing.
@@ -204,36 +205,39 @@ long settledThreadCount() {
 }
 
 /// Threads a runtime on \p Machine has added once a replay TLB is
-/// attached, one profiled iteration has run, and optimize() has migrated.
+/// attached, one profiled iteration has run, and optimize() has migrated;
+/// \p Left receives the threads still added after it is destroyed.
 long threadsAddedByRuntime(const sim::MachineConfig &Machine,
-                           uint32_t SimThreads) {
+                           uint32_t SimThreads, long &Left) {
   RuntimeConfig Config;
   Config.Machine = Machine;
   Config.SimThreads = SimThreads;
   long Before = settledThreadCount();
-  Runtime Rt(Config);
-  TrackedArray<uint64_t> Hot = Rt.allocate<uint64_t>("hot", 1 << 17);
-  TrackedArray<uint64_t> Cold = Rt.allocate<uint64_t>("cold", 1 << 17);
-  sim::Tlb Tlb = Rt.machine().makeTlb();
-  Rt.setReplayTlb(&Tlb);
+  long Added = 0;
+  {
+    Runtime Rt(Config);
+    TrackedArray<uint64_t> Hot = Rt.allocate<uint64_t>("hot", 1 << 17);
+    TrackedArray<uint64_t> Cold = Rt.allocate<uint64_t>("cold", 1 << 17);
+    sim::Tlb Tlb = Rt.machine().makeTlb();
+    Rt.setReplayTlb(&Tlb);
 
-  Rt.profilingStart();
-  Rt.beginIteration();
-  // Reads only, so parallel participants never race on the arrays.
-  Rt.parallelTracked(0, 200000, [&](uint32_t, uint64_t Begin, uint64_t End) {
-    for (uint64_t I = Begin; I < End; ++I) {
+    Rt.profilingStart();
+    Rt.beginIteration();
+    for (uint64_t I = 0; I < 200000; ++I) {
       (void)Hot[(I * 2654435761u) & ((1 << 17) - 1)];
       if (I % 64 == 0)
         (void)Cold[I % Cold.size()];
     }
-  });
-  Rt.endIteration();
-  Rt.profilingStop();
-  mem::MigrationResult Result = Rt.optimize();
-  EXPECT_GT(Result.Ranges, 0u);
-  EXPECT_GT(Tlb.misses(), 0u);
-  Rt.setReplayTlb(nullptr);
-  return settledThreadCount() - Before;
+    Rt.endIteration();
+    Rt.profilingStop();
+    mem::MigrationResult Result = Rt.optimize();
+    EXPECT_GT(Result.Ranges, 0u);
+    EXPECT_GT(Tlb.misses(), 0u);
+    Rt.setReplayTlb(nullptr);
+    Added = settledThreadCount() - Before;
+  }
+  Left = settledThreadCount() - Before;
+  return Added;
 }
 
 TEST(RuntimeThreadBudgetTest, OnlyTheKernelPoolAddsThreads) {
@@ -247,8 +251,13 @@ TEST(RuntimeThreadBudgetTest, OnlyTheKernelPoolAddsThreads) {
       {"mcdram", sim::mcdramDramTestbed(1.0 / 1024)}};
   for (const auto &[Name, Machine] : Testbeds) {
     SCOPED_TRACE(Name);
-    EXPECT_EQ(threadsAddedByRuntime(Machine, 1), 0);
-    EXPECT_EQ(threadsAddedByRuntime(Machine, 4), 4);
+    for (uint32_t SimThreads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("SimThreads " + std::to_string(SimThreads));
+      long Left = -1;
+      long Added = threadsAddedByRuntime(Machine, SimThreads, Left);
+      EXPECT_EQ(Added, SimThreads == 1 ? 0 : long{SimThreads});
+      EXPECT_EQ(Left, 0) << "destruction left threads behind";
+    }
   }
 }
 

@@ -12,7 +12,6 @@
 #include "mem/AtmemMigrator.h"
 #include "mem/MbindMigrator.h"
 #include "mem/MemoryInvariants.h"
-#include "mem/ThreadPool.h"
 #include "obs/Json.h"
 #include "sim/Machine.h"
 
@@ -370,41 +369,53 @@ TEST_F(MigratorFaultTest, AddrspaceAllocFaultFailsTryCreateCleanly) {
   expectInvariants(Registry);
 }
 
+/// Runs a profiled gather on a SimThreads = 4 runtime built while
+/// \p Plan is armed on `threadpool.spawn`; returns its worker count and
+/// iteration stats.
+std::pair<uint32_t, sim::AccessStats>
+replayWithSpawnFault(const fault::FaultPlan *Plan) {
+  if (Plan)
+    fault::FaultRegistry::instance().arm("threadpool.spawn", *Plan);
+  core::RuntimeConfig Config;
+  Config.Machine = sim::nvmDramTestbed(1.0 / 256);
+  Config.SimThreads = 4;
+  core::Runtime Rt(Config);
+  fault::FaultRegistry::instance().disarmAll();
+  core::TrackedArray<uint64_t> Arr = Rt.allocate<uint64_t>("gather", 1 << 18);
+  Rt.profilingStart();
+  Rt.beginIteration();
+  for (uint64_t I = 0; I < 300000; ++I)
+    (void)Arr[(I * 2654435761u) & ((1 << 18) - 1)];
+  Rt.endIteration();
+  Rt.profilingStop();
+  return {Rt.simThreads(), Rt.iterationStats()};
+}
+
 TEST_F(FaultTest, ThreadPoolSpawnFaultDegradesToInlineExecution) {
+  // Every replay-worker spawn fails: the runtime keeps the inline engine
+  // and gives the same answer.
+  sim::AccessStats Ref = replayWithSpawnFault(nullptr).second;
   fault::FaultPlan Plan;
   Plan.Mode = fault::Trigger::EveryKth;
-  Plan.N = 1; // Every spawn fails.
-  fault::FaultRegistry::instance().arm("threadpool.spawn", Plan);
-  ThreadPool Pool(4);
-  fault::FaultRegistry::instance().disarmAll();
-  EXPECT_EQ(Pool.threadCount(), 0u);
-
-  // parallelForThreaded still runs the whole range, inline.
-  std::atomic<uint64_t> Sum{0};
-  Pool.parallelForThreaded(0, 1000, /*ChunkSize=*/0,
-                           [&](uint32_t, uint64_t Begin, uint64_t End) {
-                             for (uint64_t I = Begin; I < End; ++I)
-                               Sum.fetch_add(I, std::memory_order_relaxed);
-                           });
-  EXPECT_EQ(Sum.load(), 1000u * 999u / 2);
+  Plan.N = 1;
+  auto [Workers, Stats] = replayWithSpawnFault(&Plan);
+  EXPECT_EQ(Workers, 1u);
+  EXPECT_EQ(Stats.Accesses, Ref.Accesses);
+  EXPECT_EQ(Stats.LlcHits, Ref.LlcHits);
+  EXPECT_EQ(Stats.TierMisses[1], Ref.TierMisses[1]);
 }
 
 TEST_F(FaultTest, ThreadPoolPartialSpawnStillWorks) {
+  // The second spawn fails: three workers split the sets, same answer.
+  sim::AccessStats Ref = replayWithSpawnFault(nullptr).second;
   fault::FaultPlan Plan;
   Plan.Mode = fault::Trigger::Nth;
-  Plan.N = 2; // The second spawn fails; the rest come up.
-  fault::FaultRegistry::instance().arm("threadpool.spawn", Plan);
-  ThreadPool Pool(4);
-  fault::FaultRegistry::instance().disarmAll();
-  EXPECT_EQ(Pool.threadCount(), 3u);
-
-  std::atomic<uint64_t> Sum{0};
-  Pool.parallelForThreaded(0, 1000, /*ChunkSize=*/0,
-                           [&](uint32_t, uint64_t Begin, uint64_t End) {
-                             for (uint64_t I = Begin; I < End; ++I)
-                               Sum.fetch_add(I, std::memory_order_relaxed);
-                           });
-  EXPECT_EQ(Sum.load(), 1000u * 999u / 2);
+  Plan.N = 2;
+  auto [Workers, Stats] = replayWithSpawnFault(&Plan);
+  EXPECT_EQ(Workers, 3u);
+  EXPECT_EQ(Stats.Accesses, Ref.Accesses);
+  EXPECT_EQ(Stats.LlcHits, Ref.LlcHits);
+  EXPECT_EQ(Stats.TierMisses[1], Ref.TierMisses[1]);
 }
 
 TEST_F(FaultTest, IoReadFaultSurfacesAsParseError) {

@@ -1,12 +1,14 @@
 //===----------------------------------------------------------------------===//
-// Equivalence suite for the batched hot-path pipeline (PR 4). Every
-// optimized path — arithmetic sample selection, indexed attribution, bulk
-// trace append, translation-cached TLB replay, split-probe cache/TLB
-// victim scans — is pinned bit-for-bit against the reference per-event
-// implementation it replaced. These tests are the contract that lets the
-// perf work evolve without moving any observable result.
+// Equivalence suite for the batched hot-path pipeline. Every optimized
+// path — arithmetic sample selection, indexed attribution, bulk trace
+// append, translation-cached and run-collapsed TLB replay, split-probe
+// cache/TLB victim scans — is pinned bit-for-bit against the reference
+// per-event implementation it replaced. The references live here, as
+// test oracles. These tests are the contract that lets the perf work
+// evolve without moving any observable result.
 //===----------------------------------------------------------------------===//
 
+#include "core/Engine.h"
 #include "core/Runtime.h"
 #include "mem/AddressSpace.h"
 #include "mem/DataObjectRegistry.h"
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace atmem;
@@ -83,6 +86,94 @@ std::vector<uint64_t> makeMissStream(mem::DataObjectRegistry &Reg,
   return Stream;
 }
 
+//===----------------------------------------------------------------------===//
+// Oracles: the per-event paths the batched pipeline replaced.
+//===----------------------------------------------------------------------===//
+
+/// The linear registry walk: the object whose mapped range holds \p Va.
+bool linearAttribute(const mem::DataObjectRegistry &Reg, uint64_t Va,
+                     mem::Attribution &Out) {
+  for (const mem::DataObject *Obj : Reg.liveObjects())
+    if (Va >= Obj->va() && Va < Obj->va() + Obj->mappedBytes()) {
+      Out.Object = Obj->id();
+      Out.Chunk = Obj->chunkOf(Va - Obj->va());
+      return true;
+    }
+  return false;
+}
+
+/// The per-miss sampler: one countdown step per miss, a linear
+/// attribution walk per sample, each sample weighted by the period in
+/// force, the period doubling each time the sample count reaches a
+/// multiple of the budget. Starts from a live profiler's window.
+class ReferenceProfiler {
+public:
+  ReferenceProfiler(const mem::DataObjectRegistry &Reg,
+                    const prof::SamplingProfiler &Started)
+      : Reg(Reg), Period(Started.initialPeriod()), Countdown(Period),
+        Budget(Started.sampleBudget()) {}
+
+  void notifyMiss(uint64_t Va) {
+    ++MissesSeen;
+    if (--Countdown != 0)
+      return;
+    ++SamplesTaken;
+    mem::Attribution Attr;
+    if (linearAttribute(Reg, Va, Attr)) {
+      prof::ObjectProfile &Profile = profile(Attr.Object);
+      ++Profile.Samples[Attr.Chunk];
+      Profile.EstimatedMisses[Attr.Chunk] += static_cast<double>(Period);
+    }
+    if (SamplesTaken % Budget == 0)
+      Period *= 2;
+    Countdown = Period;
+  }
+
+  prof::ObjectProfile profileFor(mem::ObjectId Id) { return profile(Id); }
+  uint64_t missesSeen() const { return MissesSeen; }
+  uint64_t sampleCount() const { return SamplesTaken; }
+  uint64_t period() const { return Period; }
+  uint64_t initialPeriod() const { return InitialPeriod; }
+
+private:
+  prof::ObjectProfile &profile(mem::ObjectId Id) {
+    if (Profiles.size() <= Id)
+      Profiles.resize(Id + 1);
+    prof::ObjectProfile &Profile = Profiles[Id];
+    if (Profile.Samples.empty()) {
+      uint32_t Chunks = Reg.object(Id).numChunks();
+      Profile.Samples.assign(Chunks, 0);
+      Profile.EstimatedMisses.assign(Chunks, 0.0);
+    }
+    return Profile;
+  }
+
+  const mem::DataObjectRegistry &Reg;
+  uint64_t Period;
+  uint64_t InitialPeriod = Period;
+  uint64_t Countdown;
+  uint64_t Budget;
+  uint64_t MissesSeen = 0;
+  uint64_t SamplesTaken = 0;
+  std::vector<prof::ObjectProfile> Profiles;
+};
+
+/// The uncached TLB replay: a page-table walk per miss.
+void replayTlbUncached(const sim::PageTable &PT, sim::Tlb &Tlb, uint64_t Va) {
+  sim::Translation T;
+  if (PT.translate(Va, T))
+    Tlb.access(Va, T.PageBytes);
+}
+
+/// Every address of a finished miss trace, in order.
+std::vector<uint64_t> readTrace(const std::string &Path) {
+  prof::TraceReader Reader;
+  std::vector<uint64_t> Vas;
+  EXPECT_TRUE(Reader.open(Path));
+  EXPECT_TRUE(Reader.forEach([&](uint64_t Va) { Vas.push_back(Va); }));
+  return Vas;
+}
+
 void expectProfilesEqual(const prof::ObjectProfile &Ref,
                          const prof::ObjectProfile &Got) {
   ASSERT_EQ(Ref.Samples.size(), Got.Samples.size());
@@ -106,10 +197,9 @@ TEST(HotPathProfilerTest, BatchMatchesPerMissAcrossPeriodDoubling) {
   mem::ObjectId B =
       Reg.create("b", 1u << 20, mem::InitialPlacement::Slow).id();
 
-  prof::SamplingProfiler Ref(Reg, fastAdaptConfig());
   prof::SamplingProfiler Batched(Reg, fastAdaptConfig());
-  Ref.start(1);
   Batched.start(1);
+  ReferenceProfiler Ref(Reg, Batched);
   ASSERT_EQ(Ref.period(), 4u);
 
   // Enough misses for several budget crossings: 256 samples at period 4
@@ -117,7 +207,7 @@ TEST(HotPathProfilerTest, BatchMatchesPerMissAcrossPeriodDoubling) {
   // including in the middle of batches.
   std::vector<uint64_t> Stream = makeMissStream(Reg, A, B, 200000, 42);
   for (uint64_t Va : Stream)
-    Ref.notifyMissReference(Va);
+    Ref.notifyMiss(Va);
 
   // Feed the same stream in randomly sized batches (including size 0 and
   // sizes far larger than the period) so stride arithmetic is exercised
@@ -147,14 +237,13 @@ TEST(HotPathProfilerTest, InlineNotifyMissMatchesReference) {
   mem::ObjectId B =
       Reg.create("b", 1u << 20, mem::InitialPlacement::Slow).id();
 
-  prof::SamplingProfiler Ref(Reg, fastAdaptConfig());
   prof::SamplingProfiler Inline(Reg, fastAdaptConfig());
-  Ref.start(2);
   Inline.start(2);
+  ReferenceProfiler Ref(Reg, Inline);
 
   std::vector<uint64_t> Stream = makeMissStream(Reg, A, B, 50000, 9);
   for (uint64_t Va : Stream) {
-    Ref.notifyMissReference(Va);
+    Ref.notifyMiss(Va);
     Inline.notifyMiss(Va);
   }
 
@@ -187,7 +276,7 @@ TEST(HotPathAttributionTest, IndexedMatchesLinearIncludingAfterDestroy) {
     for (int I = 0; I < 20000; ++I) {
       uint64_t Va = Lo + Rng.nextBounded(Hi - Lo);
       mem::Attribution Linear, Indexed;
-      bool LinearOk = Reg.attribute(Va, Linear);
+      bool LinearOk = linearAttribute(Reg, Va, Linear);
       bool IndexedOk = Reg.attributeIndexed(Va, Indexed, Hint);
       ASSERT_EQ(LinearOk, IndexedOk) << "va " << std::hex << Va;
       if (LinearOk) {
@@ -499,54 +588,44 @@ TEST(HotPathTlbTest, SplitProbeMatchesFusedReference) {
 }
 
 //===----------------------------------------------------------------------===//
-// SimContext: recycled miss buffers keep their high-water capacity.
+// End to end: the set-partitioned replay and its batched consumers vs the
+// inline engine and the per-miss oracles.
 //===----------------------------------------------------------------------===//
 
-TEST(HotPathContextTest, MissBufferRecycleKeepsHighWaterCapacity) {
-  sim::CacheConfig Shard;
-  Shard.SizeBytes = 1 << 12;
-  Shard.Ways = 4;
-  core::SimContext Ctx(Shard);
-  Ctx.setBufferMisses(true);
-
-  Ctx.beginIteration();
-  for (uint64_t I = 0; I < 10000; ++I)
-    Ctx.missBuffer().push_back(I);
-  Ctx.recycleMissBuffer();
-  EXPECT_TRUE(Ctx.missBuffer().empty());
-
-  Ctx.beginIteration();
-  EXPECT_GE(Ctx.missBuffer().capacity(), 10000u)
-      << "beginIteration must pre-reserve the previous drain volume";
-}
-
-//===----------------------------------------------------------------------===//
-// End to end: the batched drain vs the reference drain on the same
-// buffered miss stream.
-//===----------------------------------------------------------------------===//
-
-/// Config for a SimThreads=2 runtime whose shards miss heavily and whose
-/// profiler doubles its period inside the profiled iterations.
-core::RuntimeConfig drainTestConfig(bool Batched) {
+/// Config for a runtime whose LLC misses heavily and whose profiler
+/// doubles its period inside the profiled iterations.
+core::RuntimeConfig drainTestConfig(uint32_t SimThreads) {
   core::RuntimeConfig Config;
   Config.Machine = smallCacheTestbed();
   Config.Profiler = fastAdaptConfig();
-  Config.SimThreads = 2;
-  Config.BatchedDrain = Batched;
+  Config.SimThreads = SimThreads;
   return Config;
 }
 
-/// Runs the drain-equivalence scenario. SimThreads>1 miss streams are not
-/// run-to-run deterministic (dynamic chunk scheduling), so two
-/// independent executions cannot be compared; instead the kernel runs
-/// once on the batched runtime and its buffered shard state is injected
-/// verbatim into the reference runtime before both drain.
+/// Pseudo-random gather over \p Arr and scatter over \p Aux; enough
+/// misses per iteration to push sample counts past the budget.
+void gatherScatter(core::TrackedArray<uint64_t> &Arr,
+                   core::TrackedArray<uint32_t> &Aux, int Iter) {
+  uint64_t State = 0x9e3779b97f4a7c15ull + Iter;
+  for (uint64_t I = 0; I < (1u << 18); ++I) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    uint64_t V = Arr[(State >> 11) & ((1u << 19) - 1)];
+    Aux[(I * 6364136223846793005ull) & ((1u << 18) - 1)] =
+        static_cast<uint32_t>(V ^ I);
+  }
+}
+
 TEST(HotPathDrainTest, BatchedDrainMatchesReferenceDrain) {
-  core::Runtime Rt1(drainTestConfig(/*Batched=*/true));
-  core::Runtime Rt2(drainTestConfig(/*Batched=*/false));
+  // Rt1 replays on two workers and feeds its consumers whole merged
+  // blocks; Rt2 is the inline engine, one miss at a time. Rt1's miss
+  // trace also drives the per-miss oracles: a reference profiler with a
+  // linear attribution walk and an uncached TLB replay.
+  core::Runtime Rt1(drainTestConfig(2));
+  core::Runtime Rt2(drainTestConfig(1));
+  ASSERT_EQ(Rt1.simThreads(), 2u);
 
   // Identical allocation sequences produce identical VAs (the address
-  // space is a deterministic bump allocator), so buffers carry over.
+  // space is a deterministic bump allocator).
   core::TrackedArray<uint64_t> Arr1 = Rt1.allocate<uint64_t>("x", 1u << 19);
   core::TrackedArray<uint64_t> Arr2 = Rt2.allocate<uint64_t>("x", 1u << 19);
   ASSERT_EQ(Arr1.va(), Arr2.va());
@@ -556,50 +635,36 @@ TEST(HotPathDrainTest, BatchedDrainMatchesReferenceDrain) {
 
   sim::Tlb Tlb1 = Rt1.machine().makeTlb();
   sim::Tlb Tlb2 = Rt2.machine().makeTlb();
+  sim::Tlb TlbRef = Rt1.machine().makeTlb();
   Rt1.setReplayTlb(&Tlb1);
   Rt2.setReplayTlb(&Tlb2);
 
-  std::string Path1 = tmpTracePath("drain1");
-  std::string Path2 = tmpTracePath("drain2");
-  prof::TraceWriter Trace1, Trace2;
-  ASSERT_TRUE(Trace1.open(Path1));
-  ASSERT_TRUE(Trace2.open(Path2));
-  Rt1.setMissTrace(&Trace1);
-  Rt2.setMissTrace(&Trace2);
-
   Rt1.profilingStart();
   Rt2.profilingStart();
+  ReferenceProfiler Ref(Rt1.registry(), Rt1.profiler());
 
+  std::string Path1 = tmpTracePath("drain1");
+  std::string Path2 = tmpTracePath("drain2");
   for (int Iter = 0; Iter < 3; ++Iter) {
+    // One trace per iteration, so the oracles can replay each one.
+    prof::TraceWriter Trace1, Trace2;
+    ASSERT_TRUE(Trace1.open(Path1));
+    ASSERT_TRUE(Trace2.open(Path2));
+    Rt1.setMissTrace(&Trace1);
+    Rt2.setMissTrace(&Trace2);
     Rt1.beginIteration();
     Rt2.beginIteration();
-
-    // Pseudo-random gather over both arrays; enough misses per iteration
-    // (~hundreds of thousands) to push sample counts past the budget and
-    // exercise the parallel-attribution threshold.
-    Rt1.parallelTracked(0, 1u << 18, [&](uint32_t, uint64_t B, uint64_t E) {
-      uint64_t State = 0x9e3779b97f4a7c15ull + Iter;
-      for (uint64_t I = B; I < E; ++I) {
-        State = State * 6364136223846793005ull + 1442695040888963407ull;
-        uint64_t V = Arr1[(State >> 11) & ((1u << 19) - 1)];
-        // Odd-multiplier index: a bijection of I over the 2^18 range, so
-        // the scattered writes stay race-free across pool workers while
-        // still walking Aux pseudo-randomly; V feeds the value so the
-        // gather load cannot be optimized away.
-        Aux1[(I * 6364136223846793005ull) & ((1u << 18) - 1)] =
-            static_cast<uint32_t>(V ^ I);
-      }
-    });
-
-    for (uint32_t T = 0; T < Rt1.simThreads(); ++T) {
-      ASSERT_FALSE(Rt1.simContext(T).missBuffer().empty());
-      Rt2.simContext(T).missBuffer() = Rt1.simContext(T).missBuffer();
-      Rt2.simContext(T).stats() = Rt1.simContext(T).stats();
-    }
-
+    gatherScatter(Arr1, Aux1, Iter);
+    gatherScatter(Arr2, Aux2, Iter);
     double Sec1 = Rt1.endIteration();
     double Sec2 = Rt2.endIteration();
     EXPECT_EQ(Sec1, Sec2) << "iteration " << Iter;
+    Rt1.setMissTrace(nullptr);
+    Rt2.setMissTrace(nullptr);
+    ASSERT_TRUE(Trace1.finish());
+    ASSERT_TRUE(Trace2.finish());
+    EXPECT_EQ(readFileBytes(Path1), readFileBytes(Path2))
+        << "miss-trace bytes diverged in iteration " << Iter;
 
     const sim::AccessStats &S1 = Rt1.iterationStats();
     const sim::AccessStats &S2 = Rt2.iterationStats();
@@ -607,8 +672,17 @@ TEST(HotPathDrainTest, BatchedDrainMatchesReferenceDrain) {
     EXPECT_EQ(S1.LlcHits, S2.LlcHits);
     EXPECT_EQ(S1.TierMisses[0], S2.TierMisses[0]);
     EXPECT_EQ(S1.TierMisses[1], S2.TierMisses[1]);
+
+    std::vector<uint64_t> Misses = readTrace(Path1);
+    ASSERT_EQ(Misses.size(), S1.totalMisses());
+    for (uint64_t Va : Misses) {
+      Ref.notifyMiss(Va);
+      replayTlbUncached(Rt1.machine().pageTable(), TlbRef, Va);
+    }
     EXPECT_EQ(Tlb1.hits(), Tlb2.hits()) << "iteration " << Iter;
     EXPECT_EQ(Tlb1.misses(), Tlb2.misses()) << "iteration " << Iter;
+    EXPECT_EQ(Tlb1.hits(), TlbRef.hits()) << "iteration " << Iter;
+    EXPECT_EQ(Tlb1.misses(), TlbRef.misses()) << "iteration " << Iter;
   }
 
   Rt1.profilingStop();
@@ -616,79 +690,156 @@ TEST(HotPathDrainTest, BatchedDrainMatchesReferenceDrain) {
 
   prof::SamplingProfiler &P1 = Rt1.profiler();
   prof::SamplingProfiler &P2 = Rt2.profiler();
-  EXPECT_EQ(P1.missesSeen(), P2.missesSeen());
   EXPECT_GT(P1.missesSeen(), 0u);
-  EXPECT_EQ(P1.sampleCount(), P2.sampleCount());
-  EXPECT_EQ(P1.period(), P2.period());
+  for (const auto &[Name, MissesSeen, Samples, Period] :
+       {std::tuple{"inline", P2.missesSeen(), P2.sampleCount(), P2.period()},
+        std::tuple{"oracle", Ref.missesSeen(), Ref.sampleCount(),
+                   Ref.period()}}) {
+    SCOPED_TRACE(Name);
+    EXPECT_EQ(P1.missesSeen(), MissesSeen);
+    EXPECT_EQ(P1.sampleCount(), Samples);
+    EXPECT_EQ(P1.period(), Period);
+  }
   EXPECT_GT(P1.period(), P1.initialPeriod())
       << "workload never crossed the sample budget";
   expectProfilesEqual(P2.profileFor(Arr2.objectId()),
                       P1.profileFor(Arr1.objectId()));
   expectProfilesEqual(P2.profileFor(Aux2.objectId()),
                       P1.profileFor(Aux1.objectId()));
-
-  ASSERT_TRUE(Trace1.finish());
-  ASSERT_TRUE(Trace2.finish());
-  std::vector<char> Bytes1 = readFileBytes(Path1);
-  std::vector<char> Bytes2 = readFileBytes(Path2);
-  ASSERT_FALSE(Bytes1.empty());
-  EXPECT_EQ(Bytes1, Bytes2) << "miss-trace bytes diverged";
+  expectProfilesEqual(Ref.profileFor(Arr1.objectId()),
+                      P1.profileFor(Arr1.objectId()));
+  expectProfilesEqual(Ref.profileFor(Aux1.objectId()),
+                      P1.profileFor(Aux1.objectId()));
+  Rt1.setReplayTlb(nullptr);
+  Rt2.setReplayTlb(nullptr);
   std::remove(Path1.c_str());
   std::remove(Path2.c_str());
 }
 
-/// Same injection scheme, but the receiving runtime is also the batched
-/// pipeline with migrations between iterations, checking the cached TLB
-/// replay against the uncached reference when the page table mutates
-/// mid-window (the epoch-invalidation path end to end).
+/// Migrations between iterations mutate the page table: the cached,
+/// run-collapsed replay of the two-worker runtime must track them like the
+/// uncached per-miss oracle over the same miss stream.
 TEST(HotPathDrainTest, CachedTlbReplayTracksPageTableMutations) {
-  core::Runtime Rt1(drainTestConfig(/*Batched=*/true));
-  core::Runtime Rt2(drainTestConfig(/*Batched=*/false));
-  core::TrackedArray<uint64_t> Arr1 = Rt1.allocate<uint64_t>("x", 1u << 19);
-  core::TrackedArray<uint64_t> Arr2 = Rt2.allocate<uint64_t>("x", 1u << 19);
-  ASSERT_EQ(Arr1.va(), Arr2.va());
-
-  sim::Tlb Tlb1 = Rt1.machine().makeTlb();
-  sim::Tlb Tlb2 = Rt2.machine().makeTlb();
-  Rt1.setReplayTlb(&Tlb1);
-  Rt2.setReplayTlb(&Tlb2);
+  core::Runtime Rt(drainTestConfig(2));
+  core::TrackedArray<uint64_t> Arr = Rt.allocate<uint64_t>("x", 1u << 19);
+  sim::Tlb Tlb = Rt.machine().makeTlb();
+  sim::Tlb TlbRef = Rt.machine().makeTlb();
+  Rt.setReplayTlb(&Tlb);
+  std::string Path = tmpTracePath("mutations");
 
   for (int Iter = 0; Iter < 3; ++Iter) {
-    Rt1.beginIteration();
-    Rt2.beginIteration();
-    Rt1.parallelTracked(0, 1u << 17, [&](uint32_t, uint64_t B, uint64_t E) {
-      // Every chunk seeds the same LCG, so two chunks hit the same index
-      // sequence: reads only, to keep cross-worker accesses race-free
-      // (the misses driving the replay don't care about stores).
-      uint64_t State = 0xdeadbeef + Iter;
-      uint64_t Sink = 0;
-      for (uint64_t I = B; I < E; ++I) {
-        State = State * 6364136223846793005ull + 1442695040888963407ull;
-        Sink ^= Arr1[(State >> 13) & ((1u << 19) - 1)];
-      }
-      if (Sink == 0x5ca1ab1e)
-        std::fprintf(stderr, "sink\n");
-    });
-    for (uint32_t T = 0; T < Rt1.simThreads(); ++T) {
-      Rt2.simContext(T).missBuffer() = Rt1.simContext(T).missBuffer();
-      Rt2.simContext(T).stats() = Rt1.simContext(T).stats();
+    prof::TraceWriter Trace;
+    ASSERT_TRUE(Trace.open(Path));
+    Rt.setMissTrace(&Trace);
+    Rt.beginIteration();
+    uint64_t State = 0xdeadbeef + Iter;
+    uint64_t Sink = 0;
+    for (uint64_t I = 0; I < (1u << 17); ++I) {
+      State = State * 6364136223846793005ull + 1442695040888963407ull;
+      Sink ^= Arr[(State >> 13) & ((1u << 19) - 1)];
     }
-    Rt1.endIteration();
-    Rt2.endIteration();
-    ASSERT_EQ(Tlb1.hits(), Tlb2.hits()) << "iteration " << Iter;
-    ASSERT_EQ(Tlb1.misses(), Tlb2.misses()) << "iteration " << Iter;
+    if (Sink == 0x5ca1ab1e)
+      std::fprintf(stderr, "sink\n");
+    Rt.endIteration();
+    Rt.setMissTrace(nullptr);
+    ASSERT_TRUE(Trace.finish());
+    for (uint64_t Va : readTrace(Path))
+      replayTlbUncached(Rt.machine().pageTable(), TlbRef, Va);
+    ASSERT_EQ(Tlb.hits(), TlbRef.hits()) << "iteration " << Iter;
+    ASSERT_EQ(Tlb.misses(), TlbRef.misses()) << "iteration " << Iter;
 
-    // Mutate both page tables identically between iterations: the cached
-    // replay must observe the new mappings, not yesterday's.
-    uint64_t Quarter = (Rt1.registry().object(Arr1.objectId()).mappedBytes() /
-                        4) & ~uint64_t{2097151};
+    // Mutate the page table between iterations: the cached replay must
+    // observe the new mappings, not yesterday's.
+    uint64_t Quarter =
+        (Rt.registry().object(Arr.objectId()).mappedBytes() / 4) &
+        ~uint64_t{2097151};
     if (Quarter != 0) {
       sim::TierId To = Iter % 2 ? sim::TierId::Slow : sim::TierId::Fast;
-      ASSERT_TRUE(Rt1.machine().pageTable().remapRange(Arr1.va(), Quarter, To,
-                                                       /*PreferHuge=*/true));
-      ASSERT_TRUE(Rt2.machine().pageTable().remapRange(Arr2.va(), Quarter, To,
-                                                       /*PreferHuge=*/true));
+      ASSERT_TRUE(Rt.machine().pageTable().remapRange(Arr.va(), Quarter, To,
+                                                      /*PreferHuge=*/true));
+      for (int I = 0; I < 16; ++I)
+        Rt.machine().pageTable().movePage(Arr.va() + Quarter + I * 8192,
+                                          To);
     }
+  }
+  Rt.setReplayTlb(nullptr);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// TLB run collapse: a miss in the huge array's last 2 MiB page is counted
+// as a hit without a probe; everything after must match per-miss access.
+//===----------------------------------------------------------------------===//
+
+TEST(HotPathTlbTest, RunCollapseMatchesPerMissAccess) {
+  sim::Machine M(smallCacheTestbed());
+  mem::DataObjectRegistry Reg(M);
+  mem::DataObject &Obj =
+      Reg.create("graph", 16u << 20, mem::InitialPlacement::Slow);
+  sim::PageTable &PT = M.pageTable();
+  // Fragment part of the object into 4 KiB pages (mbind-style moves) so
+  // the stream mixes both page sizes, some 2 MiB regions small-mapped.
+  for (uint64_t Off = 0; Off < (2u << 20); Off += 4096 * 3)
+    PT.movePage(Obj.va() + Off, sim::TierId::Fast);
+  prof::SamplingProfiler Idle(Reg, fastAdaptConfig());
+  core::MissConsumers Consumers(Idle, PT);
+  sim::Tlb Batched = M.makeTlb();
+  sim::Tlb PerMiss = M.makeTlb();
+  Consumers.setTlb(&Batched);
+
+  Xoshiro256 Rng(61);
+  for (int Round = 0; Round < 40; ++Round) {
+    // Long runs inside one 2 MiB page, broken by strays to other pages
+    // (both page sizes) and to unmapped addresses.
+    std::vector<uint64_t> Stream;
+    while (Stream.size() < 5000) {
+      uint64_t Page = Obj.va() + (Rng.nextBounded(8) << 21);
+      uint64_t Run = 1 + Rng.nextBounded(64);
+      for (uint64_t I = 0; I < Run; ++I)
+        Stream.push_back(Page + Rng.nextBounded(2u << 20));
+      if (Rng.nextBounded(4) == 0)
+        Stream.push_back(Obj.va() + Obj.mappedBytes() + Rng.nextBounded(4096));
+    }
+    Consumers.consumeBatch(Stream.data(), Stream.size());
+    for (uint64_t Va : Stream)
+      replayTlbUncached(PT, PerMiss, Va);
+    ASSERT_EQ(Batched.hits(), PerMiss.hits()) << "round " << Round;
+    ASSERT_EQ(Batched.misses(), PerMiss.misses()) << "round " << Round;
+
+    // Between batches: page-table mutations and TLB flushes.
+    switch (Round % 4) {
+    case 0:
+      PT.movePage(Obj.va() + (Rng.nextBounded(8) << 21), sim::TierId::Fast);
+      break;
+    case 1:
+      ASSERT_TRUE(PT.remapRange(Obj.va() + (Rng.nextBounded(8) << 21),
+                                2u << 20, sim::TierId::Slow,
+                                /*PreferHuge=*/true));
+      break;
+    case 2: {
+      uint64_t Va = Stream[Rng.nextBounded(Stream.size())];
+      sim::Translation T;
+      if (PT.translate(Va, T)) {
+        Batched.flushPage(Va, T.PageBytes);
+        PerMiss.flushPage(Va, T.PageBytes);
+      }
+      break;
+    }
+    default:
+      Batched.flushAll();
+      PerMiss.flushAll();
+      break;
+    }
+  }
+  EXPECT_GT(Batched.hits(), 0u);
+  EXPECT_GT(Batched.misses(), 0u);
+  // Later verdicts, one access at a time, agree too.
+  for (int I = 0; I < 20000; ++I) {
+    uint64_t Va = Obj.va() + Rng.nextBounded(Obj.mappedBytes());
+    sim::Translation T;
+    ASSERT_TRUE(PT.translate(Va, T));
+    ASSERT_EQ(Batched.access(Va, T.PageBytes), PerMiss.access(Va, T.PageBytes))
+        << "access " << I;
   }
 }
 
@@ -804,116 +955,6 @@ TEST(HotPathTranslationCacheTest, IsCachedHugeAgreesWithPageTable) {
     Cache.revalidate();
     CheckSweep(200 + Round);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Sharded drain matrix: the sharded batched pipeline vs the reference
-// drain across shard counts — identical injected miss streams,
-// bit-identical everything.
-//===----------------------------------------------------------------------===//
-
-/// Drains injected per-shard miss streams through a batched runtime and
-/// through the reference per-miss runtime, then asserts bit-identical
-/// iteration stats, TLB counters, profiles, and miss-trace bytes.
-void runShardedDrainCase(uint32_t SimThreads, const std::string &Tag) {
-  SCOPED_TRACE(Tag);
-  core::RuntimeConfig RefCfg;
-  RefCfg.Machine = smallCacheTestbed();
-  RefCfg.Profiler = fastAdaptConfig();
-  RefCfg.SimThreads = SimThreads;
-  RefCfg.BatchedDrain = false;
-
-  core::RuntimeConfig OptCfg = RefCfg;
-  OptCfg.BatchedDrain = true;
-
-  core::Runtime Ref(RefCfg);
-  core::Runtime Opt(OptCfg);
-  core::TrackedArray<uint64_t> ArrR = Ref.allocate<uint64_t>("x", 1u << 18);
-  core::TrackedArray<uint64_t> ArrO = Opt.allocate<uint64_t>("x", 1u << 18);
-  ASSERT_EQ(ArrR.va(), ArrO.va());
-  core::TrackedArray<uint32_t> AuxR = Ref.allocate<uint32_t>("y", 1u << 17);
-  core::TrackedArray<uint32_t> AuxO = Opt.allocate<uint32_t>("y", 1u << 17);
-  ASSERT_EQ(AuxR.va(), AuxO.va());
-
-  sim::Tlb TlbR = Ref.machine().makeTlb();
-  sim::Tlb TlbO = Opt.machine().makeTlb();
-  Ref.setReplayTlb(&TlbR);
-  Opt.setReplayTlb(&TlbO);
-
-  std::string PathR = tmpTracePath(("shard_ref_" + Tag).c_str());
-  std::string PathO = tmpTracePath(("shard_opt_" + Tag).c_str());
-  prof::TraceWriter TraceR, TraceO;
-  ASSERT_TRUE(TraceR.open(PathR));
-  ASSERT_TRUE(TraceO.open(PathO));
-  Ref.setMissTrace(&TraceR);
-  Opt.setMissTrace(&TraceO);
-
-  Ref.profilingStart();
-  Opt.profilingStart();
-
-  for (int Iter = 0; Iter < 2; ++Iter) {
-    Ref.beginIteration();
-    Opt.beginIteration();
-    if (SimThreads == 1) {
-      // The serial engine has no shard buffers to inject into — misses
-      // reach the profiler inline — so drive both runtimes with the same
-      // deterministic gather instead.
-      Xoshiro256 Rng(500 + Iter);
-      for (int I = 0; I < 60000; ++I) {
-        uint64_t Idx = Rng.nextBounded(1u << 18);
-        volatile uint64_t SinkR = ArrR[Idx];
-        volatile uint64_t SinkO = ArrO[Idx];
-        (void)SinkR;
-        (void)SinkO;
-      }
-    } else {
-      for (uint32_t T = 0; T < SimThreads; ++T) {
-        std::vector<uint64_t> Stream =
-            makeMissStream(Opt.registry(), ArrO.objectId(), AuxO.objectId(),
-                           30000, 1000 + Iter * 64 + T);
-        Ref.simContext(T).missBuffer() = Stream;
-        Opt.simContext(T).missBuffer() = std::move(Stream);
-      }
-    }
-    Ref.endIteration();
-    Opt.endIteration();
-    ASSERT_EQ(TlbR.hits(), TlbO.hits()) << "iteration " << Iter;
-    ASSERT_EQ(TlbR.misses(), TlbO.misses()) << "iteration " << Iter;
-    const sim::AccessStats &SR = Ref.iterationStats();
-    const sim::AccessStats &SO = Opt.iterationStats();
-    EXPECT_EQ(SR.Accesses, SO.Accesses);
-    EXPECT_EQ(SR.LlcHits, SO.LlcHits);
-  }
-
-  Ref.profilingStop();
-  Opt.profilingStop();
-
-  prof::SamplingProfiler &PR = Ref.profiler();
-  prof::SamplingProfiler &PO = Opt.profiler();
-  EXPECT_EQ(PR.missesSeen(), PO.missesSeen());
-  EXPECT_GT(PR.missesSeen(), 0u);
-  EXPECT_EQ(PR.sampleCount(), PO.sampleCount());
-  EXPECT_EQ(PR.period(), PO.period());
-  EXPECT_GT(PR.period(), PR.initialPeriod())
-      << "stream never crossed the sample budget";
-  expectProfilesEqual(PR.profileFor(ArrR.objectId()),
-                      PO.profileFor(ArrO.objectId()));
-  expectProfilesEqual(PR.profileFor(AuxR.objectId()),
-                      PO.profileFor(AuxO.objectId()));
-
-  ASSERT_TRUE(TraceR.finish());
-  ASSERT_TRUE(TraceO.finish());
-  std::vector<char> BytesR = readFileBytes(PathR);
-  std::vector<char> BytesO = readFileBytes(PathO);
-  ASSERT_FALSE(BytesR.empty());
-  EXPECT_EQ(BytesR, BytesO) << "miss-trace bytes diverged";
-  std::remove(PathR.c_str());
-  std::remove(PathO.c_str());
-}
-
-TEST(HotPathShardedDrainTest, MatrixMatchesReferenceDrain) {
-  for (uint32_t SimThreads : {1u, 2u, 4u, 8u})
-    runShardedDrainCase(SimThreads, "t" + std::to_string(SimThreads));
 }
 
 } // namespace

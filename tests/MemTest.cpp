@@ -15,6 +15,13 @@ using namespace atmem::sim;
 
 namespace {
 
+/// attributeIndexed() with a fresh hint.
+bool attribute(const DataObjectRegistry &Registry, uint64_t Va,
+               Attribution &Out) {
+  AttributionHint Hint;
+  return Registry.attributeIndexed(Va, Out, Hint);
+}
+
 TEST(AddressSpaceTest, RegionsAre2MiBAligned) {
   AddressSpace Space;
   for (uint64_t Size : {1ull, 4096ull, 1000000ull, (8ull << 20) + 5}) {
@@ -127,17 +134,17 @@ TEST_F(RegistryTest, AttributeResolvesObjectAndChunk) {
   DataObject &A = Registry.create("a", 1 << 20, InitialPlacement::Slow);
   DataObject &B = Registry.create("b", 1 << 20, InitialPlacement::Slow);
   Attribution Attr;
-  ASSERT_TRUE(Registry.attribute(A.va() + 5000, Attr));
+  ASSERT_TRUE(attribute(Registry, A.va() + 5000, Attr));
   EXPECT_EQ(Attr.Object, A.id());
   EXPECT_EQ(Attr.Chunk, A.chunkOf(5000));
-  ASSERT_TRUE(Registry.attribute(B.va(), Attr));
+  ASSERT_TRUE(attribute(Registry, B.va(), Attr));
   EXPECT_EQ(Attr.Object, B.id());
 }
 
 TEST_F(RegistryTest, AttributeRejectsForeignAddresses) {
   Registry.create("a", 1 << 20, InitialPlacement::Slow);
   Attribution Attr;
-  EXPECT_FALSE(Registry.attribute(0x10, Attr));
+  EXPECT_FALSE(attribute(Registry, 0x10, Attr));
 }
 
 TEST_F(RegistryTest, DestroyUnmapsAndForgets) {
@@ -146,7 +153,7 @@ TEST_F(RegistryTest, DestroyUnmapsAndForgets) {
   ObjectId Id = Obj.id();
   Registry.destroy(Id);
   Attribution Attr;
-  EXPECT_FALSE(Registry.attribute(Va, Attr));
+  EXPECT_FALSE(attribute(Registry, Va, Attr));
   EXPECT_EQ(Registry.liveObjects().size(), 0u);
   EXPECT_EQ(M.allocator(TierId::Slow).usedBytes(), 0u);
 }

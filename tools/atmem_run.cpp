@@ -75,7 +75,8 @@ int main(int Argc, const char **Argv) {
                    "dataset/machine scale divisor for named datasets");
   Parser.addUnsigned("iterations", 1, "measured iterations to average");
   Parser.addUnsigned("sim-threads", 1,
-                     "tracked-execution engine threads (1 = serial engine)");
+                     "host threads replaying the LLC model (1 = inline "
+                     "probe); every value gives the same results");
   Parser.addFlag("compare", "also run the all-slow baseline and the "
                             "all-fast (or preferred-fast) reference");
   Parser.addFlag("tlb", "replay the measured iteration through the "
